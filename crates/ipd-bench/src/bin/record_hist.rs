@@ -23,7 +23,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ipd::{IpdEngine, IpdParams};
 use ipd_bench::scaled_factor;
 use ipd_hist::{EpochImage, HistConfig, HistStore, HistTelemetry};
-use ipd_serve::IngressStore;
 use ipd_traffic::{DfzConfig, DfzWorld};
 
 fn peak_rss_bytes() -> Option<u64> {
@@ -91,8 +90,9 @@ fn main() {
     let store = HistStore::open_with(&dir, hist_cfg, HistTelemetry::default()).expect("open store");
 
     // Drive ticks by bucket boundary (as BucketDriver would) and append
-    // one epoch per tick, timing only the image-build + append cost — the
-    // publication overhead a recording pipeline pays on top of the engine.
+    // one epoch per tick, timing only the row read + append cost — the
+    // publication overhead a recording pipeline (`HistPublisher`) pays on
+    // top of the engine.
     let mut append_time = Duration::ZERO;
     let mut rows_appended = 0u64;
     let mut next_tick = world.config().epoch + t_secs;
@@ -100,8 +100,7 @@ fn main() {
     let mut flows = 0u64;
     let mut append_epoch = |engine: &IpdEngine, ts: u64| {
         let t = Instant::now();
-        let live = IngressStore::from_engine(engine, ts);
-        let image = EpochImage::from_store(store.last_epoch() + 1, &live);
+        let image = EpochImage::new(store.last_epoch() + 1, ts, engine.served_rows());
         rows_appended += image.rows().len() as u64;
         store.append(image).expect("append");
         append_time += t.elapsed();

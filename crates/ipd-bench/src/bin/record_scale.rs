@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ipd::{IpdEngine, IpdParams, Snapshot, StoreDelta};
+use ipd::{IpdEngine, IpdParams, ServedRow, StoreDelta};
 use ipd_bench::scaled_factor;
 use ipd_lpm::Addr;
 use ipd_serve::{IngressStore, LiveStore};
@@ -40,7 +40,7 @@ const CHUNK: usize = 131_072;
 /// costs), timing both.
 struct PublishBench {
     live: LiveStore,
-    prev: Snapshot,
+    prev: Vec<ServedRow>,
     incremental: Duration,
     full: Duration,
     changed: u64,
@@ -51,7 +51,7 @@ impl PublishBench {
     fn new() -> Self {
         Self {
             live: LiveStore::new(1),
-            prev: Snapshot::default(),
+            prev: Vec::new(),
             incremental: Duration::ZERO,
             full: Duration::ZERO,
             changed: 0,
@@ -60,18 +60,18 @@ impl PublishBench {
     }
 
     fn publish(&mut self, engine: &IpdEngine, ts: u64) {
-        let snap = engine.classified_snapshot(ts);
-        let delta = StoreDelta::between(&self.prev, &snap);
+        let rows = engine.served_rows();
+        let delta = StoreDelta::between_rows(&self.prev, &rows);
         let t = Instant::now();
         self.live.apply(&delta, ts);
         self.incremental += t.elapsed();
         let t = Instant::now();
         let fresh = LiveStore::new(1);
-        fresh.publish_full(&snap);
+        fresh.publish_full(&rows, ts);
         self.full += t.elapsed();
         assert_eq!(self.live.len(), fresh.len(), "incremental apply diverged");
         self.changed += delta.change_count() as u64;
-        self.prev = snap;
+        self.prev = rows;
         self.publications += 1;
     }
 }

@@ -34,7 +34,7 @@ use ipd::pipeline::{
 };
 use ipd::{IpdEngine, IpdParams, ShardedEngine, Snapshot};
 use ipd_bgp::write_dump;
-use ipd_hist::{HistConfig, HistPublisher, HistStore, HistTelemetry};
+use ipd_hist::{EpochImage, HistConfig, HistPublisher, HistStore, HistTelemetry};
 use ipd_lpm::Addr;
 use ipd_netflow::{FlowRecord, TraceReader, TraceWriter};
 use ipd_serve::proto::{AnswerKind, WireAnswer};
@@ -712,6 +712,27 @@ fn serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         None
     };
+    // A checkpoint is published before the port is announced, so the first
+    // client of a port-file script already sees the restored map.
+    let from_checkpoint = args.get("from-checkpoint");
+    if let Some(dir) = from_checkpoint {
+        let store = CheckpointStore::open(dir)?;
+        let (seq, engine, clock) = store
+            .latest_engine()?
+            .ok_or("no restorable checkpoint in the state directory")?;
+        let ts = clock
+            .current_bucket
+            .map_or(0, |b| b * engine.params().t_secs);
+        let epoch = publisher.publish_now(&engine, ts);
+        if let Some(store) = &hist_store {
+            let epoch = store.last_epoch() + 1;
+            store.append(EpochImage::new(epoch, ts, engine.served_rows()))?;
+        }
+        eprintln!(
+            "serve: published generation {seq} ({} classified ranges, data ts {ts}) as epoch {epoch}",
+            engine.classified_count()
+        );
+    }
     let server = ServeServer::serve_with_history(
         args.get("addr").unwrap_or("127.0.0.1:0"),
         swap.clone(),
@@ -730,23 +751,7 @@ fn serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         std::fs::rename(&tmp, path)?;
     }
 
-    if let Some(dir) = args.get("from-checkpoint") {
-        let store = CheckpointStore::open(dir)?;
-        let (seq, engine, clock) = store
-            .latest_engine()?
-            .ok_or("no restorable checkpoint in the state directory")?;
-        let ts = clock
-            .current_bucket
-            .map_or(0, |b| b * engine.params().t_secs);
-        let epoch = publisher.publish_now(&engine, ts);
-        if let Some(store) = &hist_store {
-            store.append_store(&ipd_serve::IngressStore::from_engine(&engine, ts))?;
-        }
-        eprintln!(
-            "serve: published generation {seq} ({} classified ranges, data ts {ts}) as epoch {epoch}",
-            engine.classified_count()
-        );
-    } else {
+    if from_checkpoint.is_none() {
         let flows = load_trace(args.require("trace")?)?;
         let (params, rate) = trace_params(args, &flows)?;
         eprintln!(
@@ -1998,12 +2003,16 @@ mod tests {
         .expect("durable run");
 
         let port_file = tmp("serve-ckpt-ports");
+        let hist = tmp("serve-ckpt-hist");
+        let _ = std::fs::remove_dir_all(&hist);
         let (handle, addr, _metrics) = spawn_serve(
             &port_file,
             &[
                 "serve",
                 "--from-checkpoint",
                 &dir,
+                "--hist-dir",
+                &hist,
                 "--port-file",
                 &port_file,
                 "--linger-secs",
@@ -2020,6 +2029,11 @@ mod tests {
         let (_, answer) = client.lookup(Addr::v4(0x1600_0001)).expect("lookup");
         let _ = answer.is_mapped(); // any verdict is fine; the wire worked
         handle.join().unwrap().expect("serve exits cleanly");
+        // The history records the same one epoch, row for row.
+        let store = HistStore::open(&hist).expect("hist reopens");
+        assert_eq!(store.last_epoch(), 1);
+        let image = store.reader().image_at(1).unwrap().expect("epoch 1 held");
+        assert_eq!(image.rows().len() as u64, info.entries);
 
         // An empty directory is a startup error, not a silent empty store.
         let empty = tmp("serve-ckpt-empty");

@@ -5,7 +5,7 @@ use ipd_netflow::FlowRecord;
 use ipd_topology::IngressPoint;
 
 use crate::ingress::{IngressRegistry, LogicalIngress};
-use crate::output::{IpdRangeRecord, Snapshot};
+use crate::output::{IpdRangeRecord, ServedRow, Snapshot};
 use crate::params::{CountMode, IpdParams, ParamError};
 use crate::range::RangeState;
 use crate::trie::{Node, TickCtx};
@@ -263,6 +263,24 @@ impl IpdEngine {
         let mut snap = self.snapshot(ts);
         snap.records.retain(|r| r.classified);
         snap
+    }
+
+    /// The served map: one `(range, ingress, confidence)` row per classified
+    /// leaf, in address order (`Prefix` order, IPv4 before IPv6), with the
+    /// confidence bit-identical to the record
+    /// [`classified_snapshot`](IpdEngine::classified_snapshot) carries. Only
+    /// the classified leaves are read — no monitored range, share list or
+    /// `n_cidr` is built — so this is the row source every publisher uses.
+    pub fn served_rows(&self) -> Vec<ServedRow> {
+        let mut rows = Vec::new();
+        let mut emit = |prefix: Prefix, state: &RangeState| {
+            if let RangeState::Classified(c) = state {
+                rows.push((prefix, c.ingress.clone(), c.member_share()));
+            }
+        };
+        self.root_v4.visit_leaves(Prefix::root(Af::V4), &mut emit);
+        self.root_v6.visit_leaves(Prefix::root(Af::V6), &mut emit);
+        rows
     }
 }
 

@@ -78,7 +78,7 @@ mod trie;
 
 pub use engine::{EngineStats, IpdEngine, TickReport};
 pub use ingress::{IngressId, IngressRegistry, LogicalIngress};
-pub use output::{IpdRangeRecord, PrefixChange, Snapshot, SnapshotDiff, StoreDelta};
+pub use output::{IpdRangeRecord, PrefixChange, ServedRow, Snapshot, SnapshotDiff, StoreDelta};
 pub use params::{CountMode, IpdParams, ParamError};
 pub use shard::{ShardedEngine, MAX_SHARDS};
 pub use telemetry::CoreTelemetry;

@@ -1,6 +1,8 @@
 //! IPD output records — the shape of the paper's raw output (Table 3) —
 //! and the LPM lookup-table export used for validation (§5.1).
 
+use std::cmp::Ordering;
+
 use ipd_lpm::{LpmTrie, Prefix};
 use ipd_topology::IngressPoint;
 
@@ -304,9 +306,13 @@ impl SnapshotDiff {
     }
 }
 
-/// The store-level difference between two published snapshots: exactly the
-/// rows the serving layer must upsert or remove to turn `before`'s lookup
-/// table into `after`'s.
+/// One served row: a classified range, the ingress it was classified to,
+/// and that ingress's share (`s_ingress`) — exactly what a lookup answers.
+pub type ServedRow = (Prefix, LogicalIngress, f64);
+
+/// The store-level difference between two published maps: exactly the rows
+/// the serving layer must upsert or remove to turn `before`'s lookup table
+/// into `after`'s. It is also the payload of a history delta segment.
 ///
 /// This is deliberately *not* [`SnapshotDiff`]: that is an operator-facing
 /// view keyed on ingress moves only. The serving contract pins every
@@ -317,13 +323,43 @@ impl SnapshotDiff {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreDelta {
     /// Rows to insert or overwrite, sorted by prefix.
-    pub upserts: Vec<(Prefix, LogicalIngress, f64)>,
+    pub upserts: Vec<ServedRow>,
     /// Prefixes to delete, sorted.
     pub removes: Vec<Prefix>,
 }
 
 impl StoreDelta {
-    /// Rows to apply so a store serving `before`'s table serves `after`'s.
+    /// Rows to apply so a store serving `before` serves `after`. Both sides
+    /// must be strictly ascending by prefix — the order
+    /// [`IpdEngine::served_rows`](crate::IpdEngine::served_rows) yields —
+    /// which makes the diff one two-pointer merge.
+    pub fn between_rows(before: &[ServedRow], after: &[ServedRow]) -> StoreDelta {
+        let mut delta = StoreDelta::default();
+        let mut old = before.iter().peekable();
+        let mut new = after.iter().peekable();
+        loop {
+            let order = match (old.peek(), new.peek()) {
+                (Some(o), Some(n)) => o.0.cmp(&n.0),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return delta,
+            };
+            match order {
+                Ordering::Less => delta.removes.push(old.next().expect("peeked").0),
+                Ordering::Greater => delta.upserts.push(new.next().expect("peeked").clone()),
+                Ordering::Equal => {
+                    let (o, n) = (old.next().expect("peeked"), new.next().expect("peeked"));
+                    if o.1 != n.1 || o.2.to_bits() != n.2.to_bits() {
+                        delta.upserts.push(n.clone());
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same delta between two snapshots' classified records, computed
+    /// independently through a `HashMap` — the test oracle for
+    /// [`StoreDelta::between_rows`]. Publication never calls it.
     pub fn between(before: &Snapshot, after: &Snapshot) -> StoreDelta {
         let mut old: std::collections::HashMap<Prefix, (&LogicalIngress, u64)> = before
             .classified()
@@ -347,11 +383,6 @@ impl StoreDelta {
         delta.upserts.sort_by_key(|(p, _, _)| *p);
         delta.removes.sort();
         delta
-    }
-
-    /// The delta from an empty table — a full (re)publication of `after`.
-    pub fn full(after: &Snapshot) -> StoreDelta {
-        Self::between(&Snapshot::default(), after)
     }
 
     /// Number of rows touched.

@@ -437,8 +437,10 @@ pub fn run_offline_instrumented<E, I, F>(
 ///
 /// * `output_taken` — the caller owns consumption (every such caller must
 ///   drain until the channel disconnects, which is also what unparks the
-///   engine). `finish` only joins and sweeps up post-disconnect dregs, so
-///   the caller's consumer sees the whole stream in order.
+///   engine). `finish` only joins and reads nothing: a second consumer on
+///   the same channel would take some of the last outputs and hand them
+///   back out of order with the caller's. The caller's consumer sees the
+///   whole stream in order, and `leftover` is empty.
 /// * not taken — `finish` is the sole consumer: it blocking-drains until
 ///   the engine thread hangs up, and `leftover` is the complete output
 ///   stream in order. This is what makes a fire-and-finish caller (no
@@ -448,13 +450,13 @@ fn drain_while_finishing<T, O>(
     handle: std::thread::JoinHandle<T>,
     output_taken: bool,
 ) -> (T, Vec<O>) {
-    let mut leftover = Vec::new();
-    if !output_taken {
+    let leftover = if output_taken {
+        Vec::new()
+    } else {
         // Sole consumer: ends when the engine thread drops its sender.
-        leftover.extend(output.iter());
-    }
+        output.iter().collect()
+    };
     let result = handle.join().expect("engine thread never panics");
-    leftover.extend(output.try_iter());
     (result, leftover)
 }
 
@@ -579,9 +581,9 @@ impl IpdPipeline {
     }
 
     /// Close the input, wait for the engine thread, and return the engine
-    /// plus the queued outputs: the complete run's outputs if
-    /// [`IpdPipeline::output`] was never taken, otherwise whatever a
-    /// concurrent consumer left behind.
+    /// plus the run's outputs: all of them if [`IpdPipeline::output`] was
+    /// never taken, otherwise none (the consumer that took it receives
+    /// every output).
     pub fn finish(self) -> (IpdEngine, Vec<PipelineOutput>) {
         let (engine, _, leftover) = self.finish_hooked();
         (engine, leftover)
@@ -683,8 +685,8 @@ impl ShardedPipeline {
     }
 
     /// Close the input, wait for the engine thread, and return the sharded
-    /// engine plus the queued outputs — the complete run's outputs if
-    /// [`ShardedPipeline::output`] was never taken.
+    /// engine plus the run's outputs — all of them if
+    /// [`ShardedPipeline::output`] was never taken, otherwise none.
     pub fn finish(self) -> (ShardedEngine, Vec<PipelineOutput>) {
         let (engine, _, leftover) = self.finish_hooked();
         (engine, leftover)
@@ -831,6 +833,50 @@ mod tests {
                 .collect()
         };
         assert_eq!(kinds(&outputs), kinds(&ref_outputs));
+    }
+
+    /// A consumer that took the output receives the whole stream, in
+    /// emission order, however slowly it drains: `finish` must not read the
+    /// channel behind its back, or the last outputs end up split between
+    /// the two and reordered.
+    #[test]
+    fn taken_output_receives_every_output_in_order() {
+        let flows = flows_two_halves(50, 12);
+        let key = |o: &PipelineOutput| match o {
+            PipelineOutput::Tick(t) => (false, t.now),
+            PipelineOutput::Snapshot(s) => (true, s.ts),
+        };
+        let mut ref_engine = IpdEngine::new(test_params()).unwrap();
+        let mut want = Vec::new();
+        run_offline(&mut ref_engine, flows.clone(), 1, |o| want.push(key(&o)));
+
+        let pipeline = IpdPipeline::spawn(PipelineConfig {
+            params: test_params(),
+            channel_capacity: 4,
+            snapshot_every_ticks: 1,
+            shards: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let rx = pipeline.output().clone();
+        // Slow enough that the engine thread has exited, with outputs
+        // still queued, before the consumer gets to them.
+        let drainer = std::thread::spawn(move || {
+            rx.iter()
+                .map(|o| {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    key(&o)
+                })
+                .collect::<Vec<_>>()
+        });
+        let tx = pipeline.input();
+        for chunk in flows.chunks(97) {
+            tx.send(chunk.to_vec()).unwrap();
+        }
+        drop(tx);
+        let (_, leftover) = pipeline.finish();
+        assert!(leftover.is_empty(), "finish read a taken output channel");
+        assert_eq!(drainer.join().unwrap(), want);
     }
 
     #[test]

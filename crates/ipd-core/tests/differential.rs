@@ -13,13 +13,21 @@
 //! set, identical cumulative [`EngineStats`], identical canonicalized tick
 //! reports, and bit-for-bit identical snapshot digests. This is the
 //! determinism contract of the `shard` module, checked end to end.
+//!
+//! The row-source tests hold the publication path to the snapshot path
+//! after every tick: [`IpdEngine::served_rows`] equals the classified
+//! snapshot's rows, and the row merge [`StoreDelta::between_rows`] equals
+//! the `HashMap` oracle [`StoreDelta::between`].
 
 use ipd::output::Snapshot;
 use ipd::pipeline::{
     run_offline, run_offline_instrumented, IpdPipeline, NoopHook, PipelineConfig, PipelineOutput,
     ShardedPipeline, TickEngine,
 };
-use ipd::{EngineStats, IpdEngine, IpdParams, LogicalIngress, ShardedEngine, TickReport};
+use ipd::{
+    EngineStats, IpdEngine, IpdParams, LogicalIngress, ServedRow, ShardedEngine, StoreDelta,
+    TickReport,
+};
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
 use ipd_telemetry::Telemetry;
@@ -427,13 +435,10 @@ fn telemetry_is_inert() {
     );
 }
 
-/// The DFZ-scale equivalence proof (ISSUE: differential scale test): a
-/// route-churned stream from the 100k-prefix streaming substrate — next-hop
-/// flaps and withdraw/re-announce cycles included — must produce bit-identical
-/// snapshot digests, stats, and classified sets through the plain engine and
-/// `ShardedEngine` at K ∈ {1, 8}.
-#[test]
-fn dfz_churned_stream_plain_vs_sharded_is_equivalent() {
+/// A route-churned stream from the 100k-prefix streaming substrate — next-hop
+/// flaps and withdraw/re-announce cycles included — with the thresholds its
+/// rate calls for.
+fn churned_dfz_stream() -> (Vec<FlowRecord>, IpdParams) {
     use ipd_traffic::{DfzConfig, DfzWorld};
 
     let cfg = DfzConfig {
@@ -458,6 +463,15 @@ fn dfz_churned_stream_plain_vs_sharded_is_equivalent() {
         ncidr_factor_v6: (rate * 1.5e-11).max(1e-9),
         ..IpdParams::default()
     };
+    (flows, params)
+}
+
+/// The DFZ-scale equivalence proof: the churned stream must produce
+/// bit-identical snapshot digests, stats, and classified sets through the
+/// plain engine and `ShardedEngine` at K ∈ {1, 8}.
+#[test]
+fn dfz_churned_stream_plain_vs_sharded_is_equivalent() {
+    let (flows, params) = churned_dfz_stream();
     let run = |shards: Option<usize>| -> RunResult {
         let mut outputs = Vec::new();
         let (stats, snap) = match shards {
@@ -497,10 +511,8 @@ fn dfz_churned_stream_plain_vs_sharded_is_equivalent() {
 
 /// A heavier, fully deterministic stream: ~40k flows over 30 minutes from a
 /// seeded generator, shaped so the run exercises splits to `cidr_max`,
-/// joins, decay-driven drops, invalidations and dual-stack state. The
-/// equivalence assertion is identical to the property tests above.
-#[test]
-fn seeded_heavy_stream_is_equivalent() {
+/// joins, decay-driven drops, invalidations and dual-stack state.
+fn seeded_heavy_stream() -> Vec<FlowRecord> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x1bd_2024);
     let mut flows = Vec::new();
     for minute in 0..30u64 {
@@ -557,8 +569,14 @@ fn seeded_heavy_stream_is_equivalent() {
         }
     }
     flows.sort_by_key(|f| f.ts);
+    flows
+}
 
-    let reference = assert_all_equivalent(&flows, 512);
+/// The seeded heavy stream through every execution strategy; the
+/// equivalence assertion is identical to the property tests above.
+#[test]
+fn seeded_heavy_stream_is_equivalent() {
+    let reference = assert_all_equivalent(&seeded_heavy_stream(), 512);
     // The stream must actually have exercised the interesting machinery —
     // otherwise the equivalence proof is vacuous.
     assert!(reference.stats.flows_ingested > 40_000);
@@ -573,4 +591,87 @@ fn seeded_heavy_stream_is_equivalent() {
         .classified
         .iter()
         .any(|(p, _)| p.af() == ipd_lpm::Af::V6));
+}
+
+/// Drive `engine` over `flows` at the `BucketDriver` cadence — one stage-2
+/// cycle per crossed bucket, plus the final one — and after every tick hold
+/// the publication row source to the snapshot path: `served_rows()` equals
+/// the `(range, ingress, confidence)` rows of `classified_snapshot(ts)`, in
+/// order, confidence compared by bits; and the row merge from the previous
+/// tick's rows equals the `StoreDelta::between` oracle over the two
+/// snapshots. Returns how many ticks changed the served map.
+fn assert_row_source_matches<E: TickEngine>(mut engine: E, flows: &[FlowRecord]) -> usize {
+    let t = engine.t_secs();
+    let mut prev_snapshot = Snapshot::default();
+    let mut prev_rows: Vec<ServedRow> = Vec::new();
+    let mut changed = 0;
+    let mut tick = |engine: &mut E, now: u64| {
+        engine.tick(now);
+        let snapshot = engine.engine().classified_snapshot(now);
+        let rows = engine.engine().served_rows();
+        let want: Vec<(Prefix, Option<&LogicalIngress>, u64)> = snapshot
+            .records
+            .iter()
+            .map(|r| (r.range, r.ingress.as_ref(), r.confidence.to_bits()))
+            .collect();
+        let got: Vec<(Prefix, Option<&LogicalIngress>, u64)> = rows
+            .iter()
+            .map(|(p, ing, c)| (*p, Some(ing), c.to_bits()))
+            .collect();
+        assert_eq!(got, want, "served rows diverged from the snapshot at {now}");
+        let delta = StoreDelta::between_rows(&prev_rows, &rows);
+        assert_eq!(
+            delta,
+            StoreDelta::between(&prev_snapshot, &snapshot),
+            "row merge diverged from the oracle at {now}"
+        );
+        changed += usize::from(!delta.is_empty());
+        prev_snapshot = snapshot;
+        prev_rows = rows;
+    };
+    let mut bucket: Option<u64> = None;
+    for flow in flows {
+        let b = flow.ts / t;
+        match bucket {
+            None => bucket = Some(b),
+            Some(current) if b > current => {
+                for crossed in current..b {
+                    tick(&mut engine, (crossed + 1) * t);
+                }
+                bucket = Some(b);
+            }
+            Some(_) => {} // same bucket, or late data: no tick due
+        }
+        engine.ingest(flow);
+    }
+    if let Some(current) = bucket {
+        tick(&mut engine, (current + 1) * t);
+    }
+    changed
+}
+
+/// The row source on one input for the plain engine and `ShardedEngine`
+/// at K ∈ {1, 8}: every strategy sees the same number of map changes.
+fn assert_row_source_on(flows: &[FlowRecord], params: &IpdParams) {
+    let changed = assert_row_source_matches(IpdEngine::new(params.clone()).unwrap(), flows);
+    assert!(changed > 1, "the served map must change more than once");
+    for k in [1usize, 8] {
+        let sharded = ShardedEngine::new(params.clone(), k).unwrap();
+        assert_eq!(
+            assert_row_source_matches(sharded, flows),
+            changed,
+            "ShardedEngine K={k} changed the map on a different number of ticks"
+        );
+    }
+}
+
+#[test]
+fn row_source_matches_snapshots_on_seeded_heavy_stream() {
+    assert_row_source_on(&seeded_heavy_stream(), &test_params());
+}
+
+#[test]
+fn row_source_matches_snapshots_on_churned_dfz_stream() {
+    let (flows, params) = churned_dfz_stream();
+    assert_row_source_on(&flows, &params);
 }

@@ -120,8 +120,8 @@ fn panicking_reader_scenario(sharded: bool) -> (u64, usize) {
                 (engine.stats().flows_ingested, leftover)
             }
         };
-        // finish() and the drainer race for the same stream; together they
-        // hold every output.
+        // The drainer took the output, so it receives every output and
+        // finish() hands back none; together they hold every output.
         let drained = drainer.join().expect("drainer never panics");
         (flows, count_ticks(&drained) + count_ticks(&leftover))
     })

@@ -34,12 +34,12 @@
 //! `fuzz_seg` target drives the decoder with arbitrary bytes against that
 //! oracle.
 
-use ipd::LogicalIngress;
+use ipd::{LogicalIngress, StoreDelta};
 use ipd_lpm::{Addr, Af, Prefix};
 use ipd_state::{image_checksum, CodecError};
 use ipd_topology::{Bundle, IngressPoint};
 
-use crate::image::{EpochImage, ImageDelta, Row};
+use crate::image::{EpochImage, Row};
 
 /// Segment file magic.
 pub const SEG_MAGIC: [u8; 8] = *b"IPDSEG1\0";
@@ -85,7 +85,7 @@ pub enum SegmentPayload {
     /// The complete row set, strictly ascending.
     Full(Vec<Row>),
     /// Row-level changes against the previous epoch.
-    Delta(ImageDelta),
+    Delta(StoreDelta),
 }
 
 impl Segment {
@@ -390,8 +390,8 @@ pub fn encode_segment(seg: &Segment) -> Vec<u8> {
         }
         SegmentPayload::Delta(delta) => {
             section(&mut buf, SEC_REMOVED, |buf| {
-                put_u64(buf, delta.removed.len() as u64);
-                for &p in &delta.removed {
+                put_u64(buf, delta.removes.len() as u64);
+                for &p in &delta.removes {
                     put_prefix(buf, p);
                 }
             });
@@ -436,21 +436,21 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Segment, CodecError> {
             }
             let mut rem = r.section(SEC_REMOVED)?;
             let n = rem.u64()? as usize;
-            let mut removed: Vec<Prefix> = Vec::with_capacity(n.min(1 << 20));
+            let mut removes: Vec<Prefix> = Vec::with_capacity(n.min(1 << 20));
             for _ in 0..n {
                 let p = rem.prefix()?;
-                if let Some(&last) = removed.last() {
+                if let Some(&last) = removes.last() {
                     if last >= p {
                         return Err(CodecError::Malformed("removed prefixes out of order"));
                     }
                 }
-                removed.push(p);
+                removes.push(p);
             }
             if !rem.is_empty() {
                 return Err(CodecError::Malformed("trailing bytes in removed section"));
             }
             let upserts = r.section(SEC_UPSERTS)?.rows()?;
-            SegmentPayload::Delta(ImageDelta { removed, upserts })
+            SegmentPayload::Delta(StoreDelta { upserts, removes })
         }
         _ => return Err(CodecError::Malformed("segment kind out of range")),
     };

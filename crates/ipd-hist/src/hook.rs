@@ -1,12 +1,12 @@
 //! The recording seam: a [`PipelineHook`] that appends every published
 //! epoch into a [`HistStore`], riding the engine thread alongside (and
-//! epoch-for-epoch identical to) `ipd-serve`'s `ServePublisher`.
+//! epoch-for-epoch identical to) `ipd-serve`'s `ServePublisher`. Both read
+//! the same rows, [`IpdEngine::served_rows`].
 
 use std::sync::Arc;
 
 use ipd::pipeline::{BucketClock, PipelineHook};
 use ipd::IpdEngine;
-use ipd_serve::IngressStore;
 
 use crate::image::EpochImage;
 use crate::store::{HistError, HistStore};
@@ -46,7 +46,7 @@ impl HistPublisher {
             return;
         }
         let epoch = self.store.last_epoch() + 1;
-        let image = EpochImage::from_store(epoch, &IngressStore::from_engine(engine, ts));
+        let image = EpochImage::new(epoch, ts, engine.served_rows());
         if let Err(e) = self.store.append(image) {
             self.error = Some(e);
         }

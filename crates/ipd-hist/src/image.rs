@@ -1,20 +1,19 @@
 //! The in-memory value the store persists: one epoch's full ingress map as
-//! canonical sorted rows, plus row-level delta computation between
-//! consecutive epochs.
+//! canonical sorted rows, plus row-level deltas between consecutive epochs.
 //!
-//! Rows are exactly what [`IngressStore::iter`] yields — `(range, ingress,
-//! confidence)` — held strictly ascending by prefix. That canonical order
-//! is what makes segments content-comparable and delta computation a
-//! two-pointer merge.
+//! Rows are exactly what the engine serves ([`ipd::IpdEngine::served_rows`])
+//! and [`IngressStore::iter`] yields — `(range, ingress, confidence)` — held
+//! strictly ascending by prefix. That canonical order is what makes
+//! segments content-comparable and a delta one two-pointer merge.
 
-use ipd::LogicalIngress;
+use ipd::{ServedRow, StoreDelta};
 use ipd_lpm::Prefix;
 use ipd_serve::IngressStore;
 
 use crate::codec::append_row_bytes;
 
 /// One `(range, ingress, confidence)` row of an epoch's ingress map.
-pub type Row = (Prefix, LogicalIngress, f64);
+pub type Row = ServedRow;
 
 /// A full ingress map at one epoch, in canonical row order.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,56 +85,26 @@ impl EpochImage {
     }
 
     /// Row-level changes from `prev` to `self`: prefixes gone entirely, and
-    /// rows that appeared or changed (ingress or confidence bits). Both
-    /// outputs stay in canonical order, so applying is a merge.
-    pub fn delta_from(&self, prev: &EpochImage) -> ImageDelta {
-        let mut removed = Vec::new();
-        let mut upserts = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < prev.rows.len() || j < self.rows.len() {
-            match (prev.rows.get(i), self.rows.get(j)) {
-                (Some(old), Some(new)) if old.0 == new.0 => {
-                    if old.1 != new.1 || old.2.to_bits() != new.2.to_bits() {
-                        upserts.push(new.clone());
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(old), Some(new)) if old.0 < new.0 => {
-                    removed.push(old.0);
-                    i += 1;
-                }
-                (Some(_), Some(new)) => {
-                    upserts.push(new.clone());
-                    j += 1;
-                }
-                (Some(old), None) => {
-                    removed.push(old.0);
-                    i += 1;
-                }
-                (None, Some(new)) => {
-                    upserts.push(new.clone());
-                    j += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
-        ImageDelta { removed, upserts }
+    /// rows that appeared or changed (ingress or confidence bits) — the
+    /// serving layer's [`StoreDelta::between_rows`] merge, since both
+    /// images hold their rows in canonical order.
+    pub fn delta_from(&self, prev: &EpochImage) -> StoreDelta {
+        StoreDelta::between_rows(&prev.rows, &self.rows)
     }
 
     /// The image one delta later: `self` with `delta` applied, restamped as
     /// `(epoch, ts)`. Inverse of [`EpochImage::delta_from`] — reconstruction
     /// folds these from the nearest keyframe forward.
-    pub fn apply(&self, delta: &ImageDelta, epoch: u64, ts: u64) -> EpochImage {
+    pub fn apply(&self, delta: &StoreDelta, epoch: u64, ts: u64) -> EpochImage {
         let mut rows = Vec::with_capacity(self.rows.len() + delta.upserts.len());
-        let mut removed = delta.removed.iter().copied().peekable();
+        let mut removes = delta.removes.iter().copied().peekable();
         let mut upserts = delta.upserts.iter().peekable();
         for row in &self.rows {
             // Appeared prefixes sorting strictly before this row go first.
             while upserts.peek().is_some_and(|u| u.0 < row.0) {
                 rows.push(upserts.next().unwrap().clone());
             }
-            if removed.next_if_eq(&row.0).is_some() {
+            if removes.next_if_eq(&row.0).is_some() {
                 continue;
             }
             if let Some(up) = upserts.next_if(|u| u.0 == row.0) {
@@ -149,25 +118,10 @@ impl EpochImage {
     }
 }
 
-/// Row-level changes between two consecutive epochs, in canonical order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ImageDelta {
-    /// Prefixes present before, gone after.
-    pub removed: Vec<Prefix>,
-    /// Rows that appeared or changed (ingress or confidence bits).
-    pub upserts: Vec<Row>,
-}
-
-impl ImageDelta {
-    /// Whether the two epochs are row-identical.
-    pub fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.upserts.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipd::LogicalIngress;
     use ipd_lpm::Addr;
     use ipd_topology::{Bundle, IngressPoint};
 
@@ -207,7 +161,7 @@ mod tests {
             ],
         );
         let d = b.delta_from(&a);
-        assert_eq!(d.removed, vec![Prefix::of(Addr::v4(0x0c00_0000), 8)]);
+        assert_eq!(d.removes, vec![Prefix::of(Addr::v4(0x0c00_0000), 8)]);
         assert_eq!(d.upserts.len(), 3);
         let rebuilt = a.apply(&d, b.epoch, b.ts);
         assert_eq!(rebuilt, b);
@@ -220,7 +174,7 @@ mod tests {
         let b = image(2, vec![row(0x0a00_0000, 8, 1, 0.9000000001)]);
         let d = b.delta_from(&a);
         assert_eq!(d.upserts.len(), 1);
-        assert!(d.removed.is_empty());
+        assert!(d.removes.is_empty());
         assert_eq!(a.apply(&d, 2, 120), b);
     }
 
@@ -263,7 +217,7 @@ mod tests {
         assert_eq!(d.upserts.len(), 1);
         assert_eq!(empty.apply(&d, 2, full.ts), full);
         let back = empty.delta_from(&full);
-        assert_eq!(back.removed.len(), 1);
+        assert_eq!(back.removes.len(), 1);
         assert_eq!(full.apply(&back, 1, empty.ts), empty);
     }
 }

@@ -7,7 +7,8 @@
 //! **every published epoch** into a write-once, append-only store:
 //!
 //! * [`EpochImage`] — one epoch's full ingress map as canonical sorted
-//!   rows, with two-pointer delta computation between consecutive epochs.
+//!   rows; consecutive epochs differ by an [`ipd::StoreDelta`], the same
+//!   two-pointer row merge the live publisher applies.
 //! * [`codec`] — the `IPDSEG1` segment format and `IPDMAN1` manifest,
 //!   sharing the `IPDSTAT1` conventions (versioned magic, little-endian
 //!   sections, eight-lane FNV image checksum); decoders are total and
@@ -49,7 +50,7 @@ mod store;
 mod telemetry;
 
 pub use hook::HistPublisher;
-pub use image::{EpochImage, ImageDelta, Row};
+pub use image::{EpochImage, Row};
 pub use reader::{HistReader, StabilityReport};
 pub use store::{HistConfig, HistError, HistStore};
 pub use telemetry::HistTelemetry;

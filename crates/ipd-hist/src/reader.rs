@@ -201,7 +201,7 @@ impl HistReader {
                             .map(|i| (rows[i].1.clone(), rows[i].2));
                     }
                     SegmentPayload::Delta(delta) => {
-                        if delta.removed.binary_search(&prefix).is_ok() {
+                        if delta.removes.binary_search(&prefix).is_ok() {
                             current = None;
                         } else if let Ok(i) =
                             delta.upserts.binary_search_by_key(&prefix, |(p, _, _)| *p)

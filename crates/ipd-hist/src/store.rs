@@ -34,7 +34,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ipd_serve::IngressStore;
 use ipd_state::CodecError;
 
 use crate::codec::{
@@ -476,13 +475,6 @@ impl HistStore {
             inner.work.notify_one();
         }
         Ok(())
-    }
-
-    /// Capture and append a published [`IngressStore`] as the next epoch.
-    pub fn append_store(&self, store: &IngressStore) -> Result<u64, HistError> {
-        let epoch = self.last_epoch() + 1;
-        self.append(EpochImage::from_store(epoch, store))?;
-        Ok(epoch)
     }
 
     /// Fold all pending keyframes now, inline; returns how many were

@@ -2,7 +2,10 @@
 //! 100k-tier run, the store reconstructed by [`HistReader`] at **every**
 //! epoch is bit-identical to the engine's own snapshot trie captured live
 //! at that epoch — same ranges, same ingresses, confidence bit patterns
-//! included — for the plain engine and the sharded engine at K ∈ {1, 8}.
+//! included — and its image equals the rows `ServePublisher` served at that
+//! epoch, for the plain engine and the sharded engine at K ∈ {1, 8}, and
+//! for publishers that skip crossings (first recording after silent ones,
+//! or only at the close).
 //! A serve-integration variant drives the same comparison through the wire
 //! protocol, synchronizing on `WaitEpoch` instead of sleeping.
 
@@ -10,12 +13,13 @@ use std::sync::Arc;
 
 use ipd::pipeline::{run_offline_with, BucketClock, PipelineHook, TickEngine};
 use ipd::{IpdEngine, IpdParams, ShardedEngine, Snapshot};
-use ipd_hist::{HistConfig, HistPublisher, HistStore, HistTelemetry};
+use ipd_hist::{HistConfig, HistPublisher, HistStore, HistTelemetry, Row};
 use ipd_lpm::Addr;
 use ipd_netflow::FlowRecord;
 use ipd_serve::proto::WireAnswer;
 use ipd_serve::{
-    HistoryProvider, IngressStore, ServeClient, ServePublisher, ServeServer, ServeTelemetry,
+    EpochSwap, HistoryProvider, IngressStore, LiveStore, ServeClient, ServePublisher, ServeServer,
+    ServeTelemetry,
 };
 use ipd_traffic::{DfzConfig, DfzWorld};
 
@@ -43,38 +47,86 @@ fn churned_world() -> (DfzWorld, Vec<FlowRecord>, IpdParams) {
     (world, flows, params)
 }
 
-/// Records every publication twice: the live snapshot (the reference) and
-/// an append into the history store (the system under test).
+/// Which boundaries a [`RecordingHook`] publishes at. Every hook publishes
+/// at the close; the engine ticks at every crossing regardless.
+#[derive(Debug, Clone, Copy)]
+enum Schedule {
+    /// Every crossing — `ipd-tool serve --hist-dir` over a trace.
+    Every,
+    /// Silent through the first `k` crossings, then every one — a warm-up
+    /// whose map is first recorded late.
+    AfterSilent(usize),
+    /// Only at the close — `serve --from-checkpoint`'s single epoch.
+    CloseOnly,
+}
+
+/// Records every publication three ways: the live snapshot (the
+/// reference), the rows the live store serves, and an append into the
+/// history store (the system under test).
 struct RecordingHook {
+    serve: ServePublisher,
+    swap: EpochSwap<LiveStore>,
     hist: HistPublisher,
     snapshots: Vec<Snapshot>,
+    served: Vec<Vec<Row>>,
+    schedule: Schedule,
+    crossings: usize,
 }
 
 impl RecordingHook {
-    fn new(store: HistStore) -> Self {
+    fn new(store: HistStore, schedule: Schedule) -> Self {
+        let serve = ServePublisher::new();
         RecordingHook {
+            swap: serve.swap(),
+            serve,
             hist: HistPublisher::new(store),
             snapshots: Vec::new(),
+            served: Vec::new(),
+            schedule,
+            crossings: 0,
         }
+    }
+
+    fn record(&mut self, engine: &IpdEngine, ts: u64) {
+        self.snapshots.push(engine.classified_snapshot(ts));
+        self.served.push(self.swap.load().value.rows());
     }
 }
 
 impl PipelineHook for RecordingHook {
     fn bucket_crossed(&mut self, engine: &IpdEngine, clock: BucketClock) {
+        self.crossings += 1;
+        let publish = match self.schedule {
+            Schedule::Every => true,
+            Schedule::AfterSilent(k) => self.crossings > k,
+            Schedule::CloseOnly => false,
+        };
+        if !publish {
+            return;
+        }
+        self.serve.bucket_crossed(engine, clock);
         self.hist.bucket_crossed(engine, clock);
         let ts = clock
             .current_bucket
             .map_or(0, |b| b * engine.params().t_secs);
-        self.snapshots.push(engine.classified_snapshot(ts));
+        self.record(engine, ts);
     }
 
     fn closed(&mut self, engine: &IpdEngine, clock: BucketClock) {
+        self.serve.closed(engine, clock);
         self.hist.closed(engine, clock);
         let ts = clock
             .current_bucket
             .map_or(0, |b| (b + 1) * engine.params().t_secs);
-        self.snapshots.push(engine.classified_snapshot(ts));
+        self.record(engine, ts);
     }
+}
+
+fn same_rows(a: &[Row], b: &[Row]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|((pa, ia, ca), (pb, ib, cb))| {
+            pa == pb && ia == ib && ca.to_bits() == cb.to_bits()
+        })
 }
 
 /// Probe set: every range boundary plus a deterministic spray of both
@@ -129,17 +181,21 @@ fn assert_store_matches_snapshot(store: &IngressStore, snapshot: &Snapshot, epoc
     }
 }
 
+/// Run `flows` recording on `schedule`, then check every epoch: the
+/// reconstructed store answers like the live snapshot, and the image equals
+/// the rows served at that epoch. Returns (epochs, classified at close).
 fn run_and_check<E: TickEngine>(
     mut engine: E,
     flows: Vec<FlowRecord>,
     dir: &std::path::Path,
-) -> usize {
+    schedule: Schedule,
+) -> (usize, usize) {
     let cfg = HistConfig {
         keyframe_every: 4,
         ..HistConfig::default()
     };
     let store = HistStore::open_with(dir, cfg, HistTelemetry::default()).unwrap();
-    let mut hook = RecordingHook::new(store);
+    let mut hook = RecordingHook::new(store, schedule);
     run_offline_with(&mut engine, flows, 1, None, &mut hook, |_| {});
     assert!(
         hook.hist.error().is_none(),
@@ -157,11 +213,18 @@ fn run_and_check<E: TickEngine>(
             .unwrap()
             .unwrap_or_else(|| panic!("epoch {epoch} not held"));
         assert_store_matches_snapshot(&rebuilt, snapshot, epoch);
+        let image = reader.image_at(epoch).unwrap().expect("epoch held");
+        assert!(
+            same_rows(image.rows(), &hook.served[i]),
+            "epoch {epoch}: history image differs from the served rows"
+        );
     }
-    hook.snapshots
+    let classified = hook
+        .snapshots
         .last()
         .map(|s| s.classified().count())
-        .unwrap_or(0)
+        .unwrap_or(0);
+    (hook.snapshots.len(), classified)
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -174,7 +237,49 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn dfz_plain_engine_every_epoch_reconstructs_bit_identically() {
     let (_, flows, params) = churned_world();
     let dir = temp_dir("plain");
-    let classified = run_and_check(IpdEngine::new(params).unwrap(), flows, &dir);
+    let (_, classified) = run_and_check(
+        IpdEngine::new(params).unwrap(),
+        flows,
+        &dir,
+        Schedule::Every,
+    );
+    assert!(classified > 0, "the churned stream must classify something");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recorder that first records after `SILENT` crossings it only ticked
+/// through starts the history with a keyframe of the warm map, and every
+/// epoch after it still equals the served rows.
+#[test]
+fn dfz_first_record_after_silent_crossings_reconstructs_bit_identically() {
+    const SILENT: usize = 4;
+    let (_, flows, params) = churned_world();
+    let dir = temp_dir("silent");
+    let (epochs, classified) = run_and_check(
+        IpdEngine::new(params).unwrap(),
+        flows,
+        &dir,
+        Schedule::AfterSilent(SILENT),
+    );
+    // 10 minutes: 10 crossings and the close, the first SILENT unrecorded.
+    assert_eq!(epochs, 11 - SILENT);
+    assert!(classified > 0, "the churned stream must classify something");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recorder that records only at the close holds one epoch: the
+/// terminal map, equal to the served rows.
+#[test]
+fn dfz_close_only_record_reconstructs_bit_identically() {
+    let (_, flows, params) = churned_world();
+    let dir = temp_dir("close-only");
+    let (epochs, classified) = run_and_check(
+        IpdEngine::new(params).unwrap(),
+        flows,
+        &dir,
+        Schedule::CloseOnly,
+    );
+    assert_eq!(epochs, 1);
     assert!(classified > 0, "the churned stream must classify something");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -185,10 +290,11 @@ fn dfz_sharded_engines_every_epoch_reconstructs_bit_identically() {
     let mut counts = Vec::new();
     for k in [1usize, 8] {
         let dir = temp_dir(&format!("sharded-{k}"));
-        let classified = run_and_check(
+        let (_, classified) = run_and_check(
             ShardedEngine::new(params.clone(), k).unwrap(),
             flows.clone(),
             &dir,
+            Schedule::Every,
         );
         assert!(classified > 0, "K={k}: the stream must classify something");
         counts.push(classified);

@@ -4,7 +4,7 @@
 //! concurrent arenas accumulate too much garbage.
 
 use ipd::pipeline::{BucketClock, PipelineHook};
-use ipd::{IpdEngine, Snapshot, StoreDelta};
+use ipd::{IpdEngine, ServedRow, StoreDelta};
 use ipd_telemetry::EventKind;
 
 use crate::live::LiveStore;
@@ -26,17 +26,19 @@ const CHURN_BURST_CHANGES: usize = 4_096;
 /// checkpoints capture — so an epoch is a bucket boundary, nothing in
 /// between.
 ///
-/// Publication is incremental: the hook keeps the previously published
-/// [`Snapshot`], computes the [`StoreDelta`] against the new one, and
-/// applies only the changed rows. Route churn is localised and bursty
-/// (ROADMAP item 1), so per-bucket publish cost scales with the churn, not
-/// the 131k–1.2M-prefix table. The outer [`EpochSwap`] now rotates only on
-/// compaction rebuilds — when dead arena cells outgrow the live rows — with
-/// the store's own epoch numbering continuing across the rotation.
+/// Publication is incremental: the hook reads the engine's classified
+/// leaves as rows ([`IpdEngine::served_rows`]), merges them against the rows
+/// it published last into a [`StoreDelta`], and applies only the changed
+/// rows — no `Snapshot` is built. Route churn is localised and bursty, so
+/// the store-side cost scales with the churn, not the 131k–1.2M-prefix
+/// table. The outer [`EpochSwap`] rotates only on compaction rebuilds —
+/// when dead arena cells outgrow the live rows — with the store's own epoch
+/// numbering continuing across the rotation.
 pub struct ServePublisher {
     swap: EpochSwap<LiveStore>,
     regions: usize,
-    prev: Snapshot,
+    /// The rows the store serves: the left side of the next delta.
+    prev: Vec<ServedRow>,
     metrics: ServeTelemetry,
 }
 
@@ -60,7 +62,7 @@ impl ServePublisher {
         ServePublisher {
             swap: EpochSwap::new(LiveStore::new(regions)),
             regions,
-            prev: Snapshot::default(),
+            prev: Vec::new(),
             metrics,
         }
     }
@@ -83,16 +85,16 @@ impl ServePublisher {
 
     fn publish(&mut self, engine: &IpdEngine, ts: u64) -> u64 {
         let _timer = self.metrics.publish_duration.start_timer();
-        let snapshot = engine.classified_snapshot(ts);
-        let delta = StoreDelta::between(&self.prev, &snapshot);
+        let rows = engine.served_rows();
+        let delta = StoreDelta::between_rows(&self.prev, &rows);
         let current = self.swap.load();
         let store = &current.value;
         let garbage = store.garbage();
         let epoch = if garbage >= REBUILD_MIN_GARBAGE && garbage > store.len() {
-            // Compaction rebuild: rotate in a fresh store built from the full
-            // snapshot; epoch numbering continues so readers stay monotonic.
+            // Compaction rebuild: rotate in a fresh store built from the
+            // same rows; epoch numbering continues so readers stay monotonic.
             let fresh = LiveStore::with_base_epoch(self.regions, store.epoch());
-            let epoch = fresh.publish_full(&snapshot);
+            let epoch = fresh.publish_full(&rows, ts);
             self.metrics.rebuilds.inc();
             self.metrics.flight.record(
                 EventKind::Rotation,
@@ -120,7 +122,7 @@ impl ServePublisher {
                 ts,
                 epoch,
                 delta.change_count() as u64,
-                snapshot.records.len() as u64,
+                rows.len() as u64,
             );
         }
         self.metrics.changed.add(delta.change_count() as u64);
@@ -142,7 +144,7 @@ impl ServePublisher {
             delta.change_count() as u64,
             current.value.len() as u64,
         );
-        self.prev = snapshot;
+        self.prev = rows;
         epoch
     }
 }

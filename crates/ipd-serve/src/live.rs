@@ -29,7 +29,7 @@
 //! publisher rotates in a freshly built store (epoch numbering continues)
 //! when garbage overtakes live rows.
 
-use ipd::{LogicalIngress, Snapshot, StoreDelta};
+use ipd::{LogicalIngress, ServedRow, StoreDelta};
 use ipd_lpm::{Addr, ConcurrentLpm, Prefix};
 
 use crate::store::IngressAnswer;
@@ -163,14 +163,26 @@ impl LiveStore {
     /// Single-publisher only (concurrent `apply`s would interleave their
     /// windows); lookups proceed throughout.
     pub fn apply(&self, delta: &StoreDelta, ts: u64) -> u64 {
-        if self.regions.len() == 1 || delta.change_count() < PARALLEL_APPLY_MIN {
+        self.apply_rows(&delta.upserts, &delta.removes, ts)
+    }
+
+    /// Upsert every row of a whole map, in any order, and bump the epoch.
+    /// On an empty store this publishes exactly `rows` — how a compaction
+    /// rotation builds its fresh store from the rows the publication
+    /// diffed. Returns the new epoch.
+    pub fn publish_full(&self, rows: &[ServedRow], ts: u64) -> u64 {
+        self.apply_rows(rows, &[], ts)
+    }
+
+    fn apply_rows(&self, upserts: &[ServedRow], removes: &[Prefix], ts: u64) -> u64 {
+        if self.regions.len() == 1 || upserts.len() + removes.len() < PARALLEL_APPLY_MIN {
             for r in 0..self.regions.len() {
-                self.apply_region(r, delta);
+                self.apply_region(r, upserts, removes);
             }
         } else {
             std::thread::scope(|s| {
                 for r in 0..self.regions.len() {
-                    s.spawn(move || self.apply_region(r, delta));
+                    s.spawn(move || self.apply_region(r, upserts, removes));
                 }
             });
         }
@@ -178,16 +190,16 @@ impl LiveStore {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Apply the slice of `delta` that routes to region `r`.
-    fn apply_region(&self, r: usize, delta: &StoreDelta) {
+    /// Apply the rows that route to region `r`.
+    fn apply_region(&self, r: usize, upserts: &[ServedRow], removes: &[Prefix]) {
         let store = &self.regions[r];
         let mut u = store.update();
-        for &(p, ref ing, conf) in &delta.upserts {
+        for &(p, ref ing, conf) in upserts {
             if self.covered(p).contains(&r) {
                 u.insert(p, (ing.clone(), conf));
             }
         }
-        for &p in &delta.removes {
+        for &p in removes {
             if self.covered(p).contains(&r) {
                 u.remove(p);
             }
@@ -198,20 +210,14 @@ impl LiveStore {
     /// sorted by prefix, replicas deduplicated — the shape
     /// [`IngressStore::from_rows`](crate::IngressStore::from_rows) rebuilds
     /// from and the longitudinal store persists.
-    pub fn rows(&self) -> Vec<(Prefix, LogicalIngress, f64)> {
-        let mut out: Vec<(Prefix, LogicalIngress, f64)> = Vec::with_capacity(self.len());
+    pub fn rows(&self) -> Vec<ServedRow> {
+        let mut out: Vec<ServedRow> = Vec::with_capacity(self.len());
         for r in &self.regions {
             out.extend(r.rows().into_iter().map(|(p, (ing, c))| (p, ing, c)));
         }
         out.sort_by_key(|&(p, _, _)| p);
         out.dedup_by_key(|&mut (p, _, _)| p);
         out
-    }
-
-    /// Build the delta-from-empty of `snapshot` and apply it — a full
-    /// publication, used at rotation and by tests.
-    pub fn publish_full(&self, snapshot: &Snapshot) -> u64 {
-        self.apply(&StoreDelta::full(snapshot), snapshot.ts)
     }
 }
 
@@ -221,7 +227,7 @@ mod tests {
     use ipd::{IpdEngine, IpdParams};
     use ipd_topology::IngressPoint;
 
-    fn classified_snapshot() -> Snapshot {
+    fn classified_engine() -> IpdEngine {
         let params = IpdParams {
             ncidr_factor_v4: 0.01,
             ..IpdParams::default()
@@ -238,7 +244,7 @@ mod tests {
         }
         e.tick(60);
         e.tick(61);
-        e.classified_snapshot(61)
+        e
     }
 
     #[test]
@@ -252,10 +258,10 @@ mod tests {
     #[test]
     fn full_publication_matches_snapshot_table() {
         for regions in [1usize, 8] {
-            let snap = classified_snapshot();
-            let table = snap.lpm_table();
+            let e = classified_engine();
+            let table = e.classified_snapshot(61).lpm_table();
             let s = LiveStore::new(regions);
-            assert_eq!(s.publish_full(&snap), 1);
+            assert_eq!(s.publish_full(&e.served_rows(), 61), 1);
             assert_eq!(s.len(), table.len(), "regions {regions}");
             assert_eq!(s.ts(), 61);
             for i in 0..10_000u32 {
@@ -269,9 +275,10 @@ mod tests {
 
     #[test]
     fn incremental_apply_converges_to_target() {
-        let snap = classified_snapshot();
+        let e = classified_engine();
+        let snap = e.classified_snapshot(61);
         let s = LiveStore::new(4);
-        s.publish_full(&snap);
+        s.publish_full(&e.served_rows(), 61);
         // Second epoch: drop every fourth row, tweak confidences upstream by
         // republishing a doctored snapshot.
         let mut snap2 = snap.clone();
@@ -337,13 +344,13 @@ mod tests {
 
     #[test]
     fn rotation_continues_epoch_numbering() {
-        let snap = classified_snapshot();
+        let rows = classified_engine().served_rows();
         let old = LiveStore::new(1);
-        old.publish_full(&snap);
-        old.publish_full(&snap);
+        old.publish_full(&rows, 61);
+        old.publish_full(&rows, 61);
         assert_eq!(old.epoch(), 2);
         let fresh = LiveStore::with_base_epoch(1, old.epoch());
-        assert_eq!(fresh.publish_full(&snap), 3);
+        assert_eq!(fresh.publish_full(&rows, 61), 3);
         assert_eq!(fresh.epoch(), 3);
     }
 }

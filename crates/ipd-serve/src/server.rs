@@ -85,7 +85,9 @@ impl ServeServer {
                                 let _ = handle_conn(stream, reader, history, &metrics, &stop);
                             });
                         if let Ok(handle) = handle {
-                            conns.lock().expect("conns poisoned").push(handle);
+                            let mut conns = conns.lock().expect("conns poisoned");
+                            reap_finished(&mut conns);
+                            conns.push(handle);
                         }
                     }
                 })?
@@ -128,6 +130,14 @@ impl ServeServer {
 impl Drop for ServeServer {
     fn drop(&mut self) {
         self.stop_and_join();
+    }
+}
+
+/// Join the connection threads that have already exited, so a long-lived
+/// server holds handles only for connections still open.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    for h in conns.extract_if(.., |h| h.is_finished()) {
+        let _ = h.join();
     }
 }
 
@@ -340,12 +350,12 @@ mod tests {
     use crate::client::ServeClient;
     use crate::proto::AnswerKind;
     use crate::store::IngressStore;
-    use ipd::{IpdEngine, IpdParams, Snapshot, StoreDelta};
+    use ipd::{IpdEngine, IpdParams, StoreDelta};
     use ipd_lpm::Addr;
     use ipd_telemetry::Telemetry;
     use ipd_topology::IngressPoint;
 
-    fn classified_snapshot() -> Snapshot {
+    fn classified_engine() -> IpdEngine {
         let params = IpdParams {
             ncidr_factor_v4: 0.01,
             ..IpdParams::default()
@@ -362,13 +372,13 @@ mod tests {
         }
         e.tick(60);
         e.tick(61);
-        e.classified_snapshot(61)
+        e
     }
 
-    /// A live store holding `classified_snapshot` at epoch 1.
+    /// A live store holding `classified_engine`'s rows at epoch 1.
     fn classified_live() -> LiveStore {
         let store = LiveStore::new(1);
-        store.publish_full(&classified_snapshot());
+        store.publish_full(&classified_engine().served_rows(), 61);
         store
     }
 
@@ -404,7 +414,7 @@ mod tests {
 
         // An in-place publication (here: retract everything) is visible to
         // the same persistent connection without any store rotation.
-        let retract = StoreDelta::between(&classified_snapshot(), &Snapshot::default());
+        let retract = StoreDelta::between_rows(&classified_engine().served_rows(), &[]);
         swap.load().value.apply(&retract, 62);
         let (epoch, answer) = client.lookup(Addr::v4(0x0100_0000)).unwrap();
         assert_eq!(epoch, 2);
@@ -415,6 +425,24 @@ mod tests {
         assert_eq!(snap.counter("ipd_serve_requests_total"), Some(4));
         assert_eq!(snap.counter("ipd_serve_lookups_total"), Some(5));
         assert_eq!(snap.counter("ipd_serve_unmapped_total"), Some(2));
+        server.shutdown();
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        const CYCLES: usize = 64;
+        let swap = EpochSwap::new(classified_live());
+        let server =
+            ServeServer::serve("127.0.0.1:0", swap, ServeTelemetry::default()).expect("bind");
+        for _ in 0..CYCLES {
+            let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+            client.lookup(Addr::v4(0x0100_0000)).unwrap();
+        }
+        let tracked = server.conns.lock().unwrap().len();
+        assert!(
+            tracked < CYCLES / 4,
+            "{tracked} connection handles tracked after {CYCLES} closed connections"
+        );
         server.shutdown();
     }
 
@@ -452,7 +480,7 @@ mod tests {
 
     #[test]
     fn serves_time_travel_ops_from_a_history_provider() {
-        let store = IngressStore::from_snapshot(&classified_snapshot());
+        let store = IngressStore::from_engine(&classified_engine(), 61);
         let held = store.len();
         let swap = EpochSwap::new(LiveStore::new(1));
         let history: Arc<dyn HistoryProvider> = Arc::new(FixedHistory { store });
@@ -518,12 +546,12 @@ mod tests {
         let publisher = {
             let swap = swap.clone();
             std::thread::spawn(move || {
-                let snap = classified_snapshot();
+                let rows = classified_engine().served_rows();
                 std::thread::sleep(Duration::from_millis(300));
-                swap.load().value.publish_full(&snap); // in-place: epoch 1
+                swap.load().value.publish_full(&rows, 61); // in-place: epoch 1
                 std::thread::sleep(Duration::from_millis(300));
                 let fresh = LiveStore::with_base_epoch(1, swap.load().value.epoch());
-                fresh.publish_full(&snap); // rotation: epoch 2
+                fresh.publish_full(&rows, 61); // rotation: epoch 2
                 swap.publish(fresh);
             })
         };

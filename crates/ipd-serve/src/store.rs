@@ -9,7 +9,7 @@
 //! `FlatLpm` agrees with `LpmTrie` on every address.
 
 use ipd::persist::{EngineStateDump, RestoreError};
-use ipd::{IpdEngine, LogicalIngress, Snapshot};
+use ipd::{IpdEngine, LogicalIngress, ServedRow, Snapshot};
 use ipd_lpm::{Addr, FlatLpm, Prefix};
 use ipd_state::CheckpointState;
 
@@ -54,7 +54,7 @@ impl IngressStore {
 
     /// Build from a live engine's classified ranges, stamped `ts`.
     pub fn from_engine(engine: &IpdEngine, ts: u64) -> Self {
-        Self::from_snapshot(&engine.classified_snapshot(ts))
+        Self::from_rows(ts, engine.served_rows())
     }
 
     /// Build from a checkpointed engine dump, stamped `ts`.
@@ -64,12 +64,13 @@ impl IngressStore {
     }
 
     /// Build from raw `(range, ingress, confidence)` rows, stamped `ts` —
-    /// the reconstruction path of the longitudinal store (`ipd-hist`), which
-    /// persists exactly the rows [`IngressStore::iter`] yields. Row order
-    /// does not matter; the LPM table is canonical either way.
+    /// an engine's [`IpdEngine::served_rows`], or the reconstruction path of
+    /// the longitudinal store (`ipd-hist`), which persists exactly the rows
+    /// [`IngressStore::iter`] yields. Row order does not matter; the LPM
+    /// table is canonical either way.
     pub fn from_rows<I>(ts: u64, rows: I) -> Self
     where
-        I: IntoIterator<Item = (Prefix, LogicalIngress, f64)>,
+        I: IntoIterator<Item = ServedRow>,
     {
         IngressStore {
             ts,

@@ -86,7 +86,7 @@ impl ServeTelemetry {
             ),
             publish_duration: telemetry.timing(
                 "ipd_serve_publish_nanoseconds",
-                "Snapshot + store build + swap wall time per publication",
+                "Row read + delta merge + store apply wall time per publication",
             ),
             changed: telemetry.counter(
                 "ipd_serve_changed_prefixes_total",

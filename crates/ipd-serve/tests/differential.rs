@@ -2,11 +2,12 @@
 //! trace, the published [`LiveStore`] at **every** epoch boundary is
 //! bit-identical to the engine's own snapshot trie at the same bucket
 //! boundary — for the plain engine and the sharded engine at K ∈ {1, 8},
-//! including the all-unmapped case. A separate test keeps reader threads
-//! querying *during* `ServePublisher::closed()` — with the store's yield
-//! hook armed so the apply window is stretched across thousands of
-//! scheduling points — and asserts every answer belongs to a published
-//! state within the epoch window the reader observed. Under the old
+//! including the all-unmapped case, and for publishers that skip crossings
+//! (first publishing after silent ones, or only at the close). A separate
+//! test keeps reader threads querying *during* `ServePublisher::closed()` —
+//! with the store's yield hook armed so the apply window is stretched
+//! across thousands of scheduling points — and asserts every answer belongs
+//! to a published state within the epoch window the reader observed. Under the old
 //! whole-store swap that contract held vacuously; under in-place
 //! publication this test pins it end to end (the schedule-exhaustive
 //! no-torn-reads proof lives in the `ipd-lpm` interleaving harness).
@@ -62,21 +63,39 @@ struct EpochCapture {
     rows: Vec<(Prefix, LogicalIngress, f64)>,
 }
 
+/// Which boundaries a [`CaptureHook`] publishes at. Every hook publishes
+/// at the close; the engine ticks at every crossing regardless.
+#[derive(Debug, Clone, Copy)]
+enum Schedule {
+    /// Every crossing — `ipd-tool serve` over a trace.
+    Every,
+    /// Silent through the first `k` crossings, then every one — a warm-up
+    /// whose map is first published late.
+    AfterSilent(usize),
+    /// Only at the close — a frozen map, as `serve --from-checkpoint`
+    /// publishes once from a state it never published before.
+    CloseOnly,
+}
+
 /// Rides alongside [`ServePublisher`] and captures every publication point.
 struct CaptureHook {
     publisher: ServePublisher,
     swap: EpochSwap<LiveStore>,
     epochs: Vec<EpochCapture>,
+    schedule: Schedule,
+    crossings: usize,
 }
 
 impl CaptureHook {
-    fn new() -> Self {
+    fn new(schedule: Schedule) -> Self {
         let publisher = ServePublisher::new();
         let swap = publisher.swap();
         CaptureHook {
             publisher,
             swap,
             epochs: Vec::new(),
+            schedule,
+            crossings: 0,
         }
     }
 
@@ -93,6 +112,15 @@ impl CaptureHook {
 
 impl PipelineHook for CaptureHook {
     fn bucket_crossed(&mut self, engine: &IpdEngine, clock: BucketClock) {
+        self.crossings += 1;
+        let publish = match self.schedule {
+            Schedule::Every => true,
+            Schedule::AfterSilent(k) => self.crossings > k,
+            Schedule::CloseOnly => false,
+        };
+        if !publish {
+            return;
+        }
         self.publisher.bucket_crossed(engine, clock);
         let ts = clock
             .current_bucket
@@ -176,11 +204,20 @@ fn assert_epochs_identical(epochs: &[EpochCapture]) {
     }
 }
 
-fn run_and_check<E: TickEngine>(mut engine: E, flows: Vec<FlowRecord>) -> usize {
-    let mut hook = CaptureHook::new();
+/// Run `flows` publishing on `schedule` and check every publication.
+fn run_with_schedule<E: TickEngine>(
+    mut engine: E,
+    flows: Vec<FlowRecord>,
+    schedule: Schedule,
+) -> Vec<EpochCapture> {
+    let mut hook = CaptureHook::new(schedule);
     run_offline_with(&mut engine, flows, 1, None, &mut hook, |_| {});
     assert_epochs_identical(&hook.epochs);
     hook.epochs
+}
+
+fn run_and_check<E: TickEngine>(engine: E, flows: Vec<FlowRecord>) -> usize {
+    run_with_schedule(engine, flows, Schedule::Every)
         .last()
         .map(|c| c.snapshot.classified().count())
         .unwrap_or(0)
@@ -235,12 +272,60 @@ fn dfz_churned_stream_every_epoch_is_bit_identical() {
     );
 }
 
+/// A publisher that first publishes after `SILENT` crossings it only
+/// ticked through still serves every epoch bit-identically: its first delta
+/// is taken against the empty store, not against a bucket it never
+/// published.
+#[test]
+fn first_publication_after_silent_crossings_is_bit_identical() {
+    const SILENT: usize = 4;
+    let every = run_with_schedule(
+        IpdEngine::new(classify_params()).unwrap(),
+        trace(10),
+        Schedule::Every,
+    );
+    let plain = run_with_schedule(
+        IpdEngine::new(classify_params()).unwrap(),
+        trace(10),
+        Schedule::AfterSilent(SILENT),
+    );
+    assert_eq!(plain.len(), every.len() - SILENT);
+    assert!(!plain[0].rows.is_empty(), "the first publication is warm");
+    let sharded = run_with_schedule(
+        ShardedEngine::new(classify_params(), 8).unwrap(),
+        trace(10),
+        Schedule::AfterSilent(SILENT),
+    );
+    assert_eq!(sharded.len(), plain.len());
+}
+
+/// A publisher that publishes only at the close serves the terminal map
+/// bit-identically from one full delta.
+#[test]
+fn close_only_publication_is_bit_identical() {
+    for epochs in [
+        run_with_schedule(
+            IpdEngine::new(classify_params()).unwrap(),
+            trace(10),
+            Schedule::CloseOnly,
+        ),
+        run_with_schedule(
+            ShardedEngine::new(classify_params(), 8).unwrap(),
+            trace(10),
+            Schedule::CloseOnly,
+        ),
+    ] {
+        assert_eq!(epochs.len(), 1, "one publication, at the close");
+        assert!(!epochs[0].rows.is_empty(), "the terminal map classifies");
+    }
+}
+
 #[test]
 fn unclassifiable_trace_serves_unmapped_everywhere() {
     // Default thresholds are far beyond this volume: nothing classifies,
     // every published store is empty, every lookup is unmapped — at every
     // epoch, exactly like the engine's own (empty) table.
-    let mut hook = CaptureHook::new();
+    let mut hook = CaptureHook::new(Schedule::Every);
     let mut engine = IpdEngine::new(IpdParams::default()).unwrap();
     run_offline_with(&mut engine, trace(4), 1, None, &mut hook, |_| {});
     assert!(!hook.epochs.is_empty());

@@ -31,7 +31,7 @@ fn classified_store() -> LiveStore {
     e.tick(60);
     e.tick(61);
     let store = LiveStore::new(1);
-    store.publish_full(&e.classified_snapshot(61));
+    store.publish_full(&e.served_rows(), 61);
     store
 }
 
