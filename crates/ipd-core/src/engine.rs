@@ -6,9 +6,9 @@ use ipd_topology::IngressPoint;
 
 use crate::ingress::{IngressRegistry, LogicalIngress};
 use crate::output::{IpdRangeRecord, ServedRow, Snapshot};
-use crate::params::{CountMode, IpdParams, ParamError};
+use crate::params::{IpdParams, ParamError};
 use crate::range::RangeState;
-use crate::trie::{Node, TickCtx};
+use crate::trie::{Node, PreparedFlow, TickCtx};
 
 /// What happened during one stage-2 cycle.
 #[derive(Debug, Clone, Default)]
@@ -65,6 +65,42 @@ pub struct EngineStats {
     pub drops: u64,
 }
 
+/// Live state sizes, taken in one walk ([`IpdEngine::state_counts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StateCounts {
+    pub(crate) ranges: usize,
+    pub(crate) classified: usize,
+    pub(crate) monitored_ips: usize,
+}
+
+impl StateCounts {
+    /// See [`IpdEngine::state_bytes_estimate`].
+    pub(crate) fn state_bytes(self) -> usize {
+        // HashMap entry overhead approximations; precision is irrelevant,
+        // relative growth with cidr_max is what the figure shows.
+        const IP_ENTRY: usize = 16 + 8 + 48; // key + ts + counts map base
+        const RANGE: usize = 96;
+        self.monitored_ips * IP_ENTRY + self.ranges * RANGE
+    }
+}
+
+/// Intern, mask and weigh one flow for the trie walk; interning in stream
+/// order keeps `IngressId` assignment identical on every ingest path.
+pub(crate) fn prepare(
+    params: &IpdParams,
+    registry: &mut IngressRegistry,
+    flow: &FlowRecord,
+) -> (Af, PreparedFlow) {
+    let af = flow.af();
+    let prepared = PreparedFlow {
+        bits: flow.src.masked(params.cidr_max(af)).bits(),
+        ts: flow.ts,
+        weight: params.count_mode.weight(flow.bytes),
+        id: registry.intern(IngressPoint::new(flow.router, flow.input_if)),
+    };
+    (af, prepared)
+}
+
 /// The IPD engine. See the crate docs for the algorithm description.
 ///
 /// Deterministic and I/O-free: `ingest` and `tick` are the only mutations,
@@ -111,31 +147,49 @@ impl IpdEngine {
     /// IP to `cidr_max` and add it, with its ingress link and timestamp, to
     /// the range covering it.
     pub fn ingest(&mut self, flow: &FlowRecord) {
-        let weight = match self.params.count_mode {
-            CountMode::Flows => 1.0,
-            CountMode::Bytes => flow.bytes as f64,
-        };
         self.ingest_parts(
             flow.ts,
             flow.src,
             IngressPoint::new(flow.router, flow.input_if),
-            weight,
+            self.params.count_mode.weight(flow.bytes),
         );
     }
 
     /// Stage 1 with explicit parts (useful when flows come from synthetic
-    /// sources that never materialize full records).
-    pub fn ingest_parts(&mut self, ts: u64, src: Addr, ingress: IngressPoint, weight: f64) {
-        let id = self.registry.intern(ingress);
+    /// sources that never materialize full records). `weight` is what the
+    /// sample adds to its range: 1 per flow, or its byte count.
+    pub fn ingest_parts(&mut self, ts: u64, src: Addr, ingress: IngressPoint, weight: u64) {
         let af = src.af();
-        let cidr_max = self.params.cidr_max(af);
-        let bits = src.masked(cidr_max).bits();
+        let flow = PreparedFlow {
+            bits: src.masked(self.params.cidr_max(af)).bits(),
+            ts,
+            weight,
+            id: self.registry.intern(ingress),
+        };
         let root = match af {
             Af::V4 => &mut self.root_v4,
             Af::V6 => &mut self.root_v6,
         };
-        root.ingest(bits, af.width(), ts, id, weight);
+        root.ingest_from(0, af.width(), &flow);
         self.stats.flows_ingested += 1;
+    }
+
+    /// Stage 1 over a batch, in stream order: every ingress is interned
+    /// first, in stream order, then each family's flows go down its trie
+    /// through the grouped descent (`Node::ingest_run`). The result is
+    /// bit for bit the state [`IpdEngine::ingest`] produces flow by flow.
+    pub fn ingest_batch(&mut self, flows: &[FlowRecord]) {
+        let (mut v4, mut v6) = (Vec::new(), Vec::new());
+        for flow in flows {
+            let (af, prepared) = prepare(&self.params, &mut self.registry, flow);
+            match af {
+                Af::V4 => v4.push(prepared),
+                Af::V6 => v6.push(prepared),
+            }
+        }
+        self.root_v4.ingest_run(0, Af::V4.width(), &v4);
+        self.root_v6.ingest_run(0, Af::V6.width(), &v6);
+        self.stats.flows_ingested += flows.len() as u64;
     }
 
     /// Stage 2 (Algorithm 1, lines 5–19): sweep all ranges — expire, decay,
@@ -163,30 +217,36 @@ impl IpdEngine {
 
     /// Number of live leaf ranges (both families).
     pub fn range_count(&self) -> usize {
-        self.root_v4.counts().0 + self.root_v6.counts().0
+        self.state_counts().ranges
     }
 
     /// Number of classified ranges.
     pub fn classified_count(&self) -> usize {
-        self.root_v4.counts().1 + self.root_v6.counts().1
+        self.state_counts().classified
     }
 
     /// Number of per-IP state entries currently held for unclassified
     /// ranges — the dominant memory consumer (Appendix A: "the state of each
     /// (masked) IP must be held for each range").
     pub fn monitored_ip_count(&self) -> usize {
-        self.root_v4.counts().2 + self.root_v6.counts().2
+        self.state_counts().monitored_ips
     }
 
     /// Rough live state size in bytes, for the resource-consumption metric
     /// of the parameter study (Fig 20). Counts the dominant contributors:
     /// per-IP entries and per-range counter entries.
     pub fn state_bytes_estimate(&self) -> usize {
-        // HashMap entry overhead approximations; precision is irrelevant,
-        // relative growth with cidr_max is what the figure shows.
-        const IP_ENTRY: usize = 16 + 8 + 48; // key + ts + counts map base
-        const RANGE: usize = 96;
-        self.monitored_ip_count() * IP_ENTRY + self.range_count() * RANGE
+        self.state_counts().state_bytes()
+    }
+
+    /// Every state size above from one walk over both tries.
+    pub(crate) fn state_counts(&self) -> StateCounts {
+        let (a, b) = (self.root_v4.counts(), self.root_v6.counts());
+        StateCounts {
+            ranges: a.0 + b.0,
+            classified: a.1 + b.1,
+            monitored_ips: a.2 + b.2,
+        }
     }
 
     /// Export the complete engine state as canonical plain data — the
@@ -287,6 +347,7 @@ impl IpdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::CountMode;
 
     fn test_params() -> IpdParams {
         // n_cidr(v4 /0) = 0.01 * sqrt(2^32) ≈ 655; the v6 reference width is
@@ -357,12 +418,12 @@ mod tests {
         let mut e = IpdEngine::new(test_params()).unwrap();
         // 1000 samples clears n_cidr(v4 /0) ≈ 655.
         for i in 0..1000u32 {
-            e.ingest_parts(30, v4(0x0A000000 + i * 256), IngressPoint::new(1, 1), 1.0);
+            e.ingest_parts(30, v4(0x0A000000 + i * 256), IngressPoint::new(1, 1), 1);
             e.ingest_parts(
                 30,
                 Addr::v6((0x2001_0db8u128 << 96) | ((i as u128) << 40)),
                 IngressPoint::new(2, 1),
-                1.0,
+                1,
             );
         }
         let report = e.tick(60);
@@ -387,10 +448,10 @@ mod tests {
         // Dominant traffic (share 1000/1002 ≥ q) with a stray dribble: the
         // root classifies while still reporting all ingress shares.
         for i in 0..1000u32 {
-            e.ingest_parts(30, v4(i * 512), IngressPoint::new(1, 1), 1.0);
+            e.ingest_parts(30, v4(i * 512), IngressPoint::new(1, 1), 1);
         }
-        e.ingest_parts(30, v4(0xF000_0001), IngressPoint::new(2, 1), 1.0);
-        e.ingest_parts(30, v4(0xF000_0011), IngressPoint::new(3, 1), 1.0);
+        e.ingest_parts(30, v4(0xF000_0001), IngressPoint::new(2, 1), 1);
+        e.ingest_parts(30, v4(0xF000_0011), IngressPoint::new(3, 1), 1);
         e.tick(60);
         let snap = e.snapshot(60);
         assert!(!snap.records.is_empty());
@@ -408,7 +469,7 @@ mod tests {
         assert_eq!(e.range_count(), 2); // two empty roots
         let base = e.state_bytes_estimate();
         for i in 0..100u32 {
-            e.ingest_parts(30, v4(i << 16), IngressPoint::new((i % 7) + 1, 1), 1.0);
+            e.ingest_parts(30, v4(i << 16), IngressPoint::new((i % 7) + 1, 1), 1);
         }
         assert!(e.monitored_ip_count() > 0);
         assert!(e.state_bytes_estimate() > base);

@@ -1,10 +1,11 @@
 //! Ingress identity: interning and logical (link vs bundle) ingress points.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use ipd_topology::{Bundle, IngressPoint};
 use serde::{Deserialize, Serialize};
+
+use crate::hash::FastMap;
 
 /// Dense interned id for an [`IngressPoint`]. The engine counts per-`u32`
 /// instead of per-struct, which keeps per-range counter maps small and fast.
@@ -21,7 +22,7 @@ impl IngressId {
 /// Bidirectional intern table for ingress points.
 #[derive(Debug, Default, Clone)]
 pub struct IngressRegistry {
-    by_point: HashMap<IngressPoint, IngressId>,
+    by_point: FastMap<IngressPoint, IngressId>,
     points: Vec<IngressPoint>,
 }
 
@@ -67,7 +68,7 @@ impl IngressRegistry {
     pub(crate) fn from_points(
         points: Vec<IngressPoint>,
     ) -> Result<Self, crate::persist::RestoreError> {
-        let mut by_point = HashMap::with_capacity(points.len());
+        let mut by_point = FastMap::with_capacity_and_hasher(points.len(), Default::default());
         for (i, &p) in points.iter().enumerate() {
             if by_point.insert(p, IngressId(i as u32)).is_some() {
                 return Err(crate::persist::RestoreError::DuplicateIngress(p));

@@ -53,7 +53,7 @@
 //! // All traffic enters via router 1, interface 1...
 //! let ingress = IngressPoint::new(1, 1);
 //! for i in 0..1000u32 {
-//!     engine.ingest_parts(60, Addr::v4(0x0A00_0000 | ((i * 97) & 0xFF_FFFF)), ingress, 1.0);
+//!     engine.ingest_parts(60, Addr::v4(0x0A00_0000 | ((i * 97) & 0xFF_FFFF)), ingress, 1);
 //! }
 //! let report = engine.tick(120);
 //! assert!(!report.newly_classified.is_empty());
@@ -66,6 +66,7 @@
 //! ```
 
 mod engine;
+mod hash;
 mod ingress;
 pub mod output;
 mod params;

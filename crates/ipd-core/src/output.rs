@@ -48,7 +48,7 @@ impl IpdRangeRecord {
         let n_cidr = params.n_cidr(range.af(), range.len());
         match state {
             RangeState::Monitoring(m) => {
-                let (total, per) = m.totals();
+                let (total, per) = (m.total() as f64, m.per_ingress());
                 let mut shares: Vec<(IngressPoint, f64)> = per
                     .iter()
                     .map(|(&id, &w)| (registry.resolve(id), w))
@@ -424,12 +424,12 @@ mod tests {
         let mut e = IpdEngine::new(params).unwrap();
         // n_cidr: /0 needs ~656 samples, /1 needs ~464 — 600 per half works.
         for i in 0..600u32 {
-            e.ingest_parts(30, Addr::v4(i * 1024), IngressPoint::new(1, 1), 1.0);
+            e.ingest_parts(30, Addr::v4(i * 1024), IngressPoint::new(1, 1), 1);
             e.ingest_parts(
                 30,
                 Addr::v4(0x8000_0000 + i * 1024),
                 IngressPoint::new(2, 4),
-                1.0,
+                1,
             );
         }
         e.tick(60); // split
@@ -469,8 +469,8 @@ mod tests {
     fn monitored_record_reports_best_candidate() {
         let params = IpdParams::default(); // huge thresholds: nothing classifies
         let mut e = IpdEngine::new(params).unwrap();
-        e.ingest_parts(30, Addr::v4(1), IngressPoint::new(1, 1), 3.0);
-        e.ingest_parts(30, Addr::v4(2), IngressPoint::new(2, 1), 1.0);
+        e.ingest_parts(30, Addr::v4(1), IngressPoint::new(1, 1), 3);
+        e.ingest_parts(30, Addr::v4(2), IngressPoint::new(2, 1), 1);
         let snap = e.snapshot(30);
         assert_eq!(snap.records.len(), 1);
         let r = &snap.records[0];
@@ -502,7 +502,7 @@ mod tests {
                 120,
                 Addr::v4(0x8000_0000 + i * 1024),
                 IngressPoint::new(9, 9),
-                1.0,
+                1,
             );
         }
         e.tick(180); // invalidation (resets per-IP state)
@@ -511,7 +511,7 @@ mod tests {
                 185,
                 Addr::v4(0x8000_0000 + i * 1024),
                 IngressPoint::new(9, 9),
-                1.0,
+                1,
             );
         }
         e.tick(240); // re-classification from fresh state

@@ -18,6 +18,16 @@ pub enum CountMode {
     Bytes,
 }
 
+impl CountMode {
+    /// The integer weight one flow of `bytes` bytes adds to its range.
+    pub(crate) fn weight(self, bytes: u32) -> u64 {
+        match self {
+            CountMode::Flows => 1,
+            CountMode::Bytes => u64::from(bytes),
+        }
+    }
+}
+
 /// All IPD knobs. Defaults are the production values of Table 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IpdParams {

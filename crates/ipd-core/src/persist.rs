@@ -9,11 +9,12 @@
 //! always produces the same dump regardless of `HashMap` iteration order.
 //!
 //! The restore contract mirrors the sharding contract (`shard` module docs):
-//! in [`crate::CountMode::Flows`] a restored engine is bit-for-bit
-//! equivalent to the original — continuing an interrupted run after
+//! in both count modes a restored engine is bit-for-bit equivalent to the
+//! original — continuing an interrupted run after
 //! [`IpdEngine::restore_state`] yields `Snapshot::digest()`s identical to an
-//! uninterrupted run. (In `Bytes` mode, rebuilt hash maps may re-associate
-//! f64 additions differently, exactly like re-sharding does.)
+//! uninterrupted run. Per-IP weights travel as `f64` but are integers in
+//! the engine, so restore rejects any that is not one (and every other
+//! count the engine cannot hold: see [`RestoreError::BadCounts`]).
 
 use ipd_lpm::Af;
 use ipd_topology::IngressPoint;
@@ -94,6 +95,11 @@ pub enum RestoreError {
     TrailingNodes(Af, usize),
     /// The trie nests deeper than the address family allows.
     TooDeep(Af),
+    /// A leaf holds counts the engine cannot: a per-IP weight that is not
+    /// a non-negative integer, an IP entry without counts, an IP or an
+    /// ingress listed twice, a range whose weights overflow 64 bits, or a
+    /// classified weight that is NaN, infinite or negative.
+    BadCounts(Af, &'static str),
 }
 
 impl std::fmt::Display for RestoreError {
@@ -109,6 +115,7 @@ impl std::fmt::Display for RestoreError {
                 write!(f, "{af:?} trie preorder has {n} trailing nodes")
             }
             RestoreError::TooDeep(af) => write!(f, "{af:?} trie deeper than the address width"),
+            RestoreError::BadCounts(af, why) => write!(f, "{af:?} trie: {why}"),
         }
     }
 }
@@ -118,5 +125,100 @@ impl std::error::Error for RestoreError {}
 impl From<ParamError> for RestoreError {
     fn from(e: ParamError) -> Self {
         RestoreError::Params(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::IpdEngine;
+    use ipd_lpm::Addr;
+
+    /// A real dump: the IPv4 root classified, the IPv6 root monitoring
+    /// ten IPs.
+    fn dump() -> EngineStateDump {
+        let params = IpdParams {
+            ncidr_factor_v4: 0.01,
+            ..IpdParams::default()
+        };
+        let mut e = IpdEngine::new(params).unwrap();
+        for i in 0..1000u32 {
+            e.ingest_parts(30, Addr::v4(i << 12), IngressPoint::new(1, 1), 1);
+        }
+        e.tick(60);
+        for i in 0..10u128 {
+            let src = Addr::v6((0x2001_0db8u128 << 96) | (i << 80));
+            e.ingest_parts(70, src, IngressPoint::new(2, 1), 1);
+        }
+        e.dump_state()
+    }
+
+    fn monitored(d: &mut EngineStateDump) -> &mut Vec<IpEntryDump> {
+        match d.v6.as_mut_slice() {
+            [TrieNodeDump::Monitoring(ips)] => ips,
+            other => panic!("expected one monitored IPv6 leaf, got {other:?}"),
+        }
+    }
+
+    fn classified(d: &mut EngineStateDump) -> &mut ClassifiedDump {
+        match d.v4.as_mut_slice() {
+            [TrieNodeDump::Classified(c)] => c,
+            other => panic!("expected one classified IPv4 leaf, got {other:?}"),
+        }
+    }
+
+    fn rejected(d: EngineStateDump, af: Af) {
+        match IpdEngine::restore_state(d) {
+            Err(RestoreError::BadCounts(got, _)) => assert_eq!(got, af),
+            other => panic!("expected BadCounts({af:?}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_per_ip_weights_that_are_not_non_negative_integers() {
+        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.5, 2f64.powi(64)] {
+            let mut d = dump();
+            monitored(&mut d)[3].counts[0].1 = bad;
+            rejected(d, Af::V6);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_an_ip_entry_without_counts() {
+        let mut d = dump();
+        monitored(&mut d)[3].counts.clear();
+        rejected(d, Af::V6);
+    }
+
+    #[test]
+    fn restore_rejects_classified_weights_that_are_nan_infinite_or_negative() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut d = dump();
+            classified(&mut d).counts[0].1 = bad;
+            rejected(d, Af::V4);
+            let mut d = dump();
+            classified(&mut d).total = bad;
+            rejected(d, Af::V4);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_entries_ingest_never_produces() {
+        // An ingress listed twice within one IP.
+        let mut d = dump();
+        let entry = &mut monitored(&mut d)[0];
+        entry.counts.push(entry.counts[0]);
+        rejected(d, Af::V6);
+        // One IP listed twice within a range.
+        let mut d = dump();
+        let ips = monitored(&mut d);
+        ips[1].ip = ips[0].ip;
+        rejected(d, Af::V6);
+        // Weights whose range total overflows 64 bits.
+        let mut d = dump();
+        for e in monitored(&mut d) {
+            e.counts[0].1 = 2f64.powi(63);
+        }
+        rejected(d, Af::V6);
     }
 }

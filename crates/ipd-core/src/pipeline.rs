@@ -61,13 +61,10 @@ impl Default for PipelineConfig {
 pub trait TickEngine {
     /// Stage-1 ingest of one flow.
     fn ingest(&mut self, flow: &FlowRecord);
-    /// Stage-1 ingest of a batch of flows (in stream order). Implementations
-    /// may parallelize; the default just loops.
-    fn ingest_batch(&mut self, flows: &[FlowRecord]) {
-        for f in flows {
-            self.ingest(f);
-        }
-    }
+    /// Stage-1 ingest of a batch of flows (in stream order), with the same
+    /// result as ingesting them one by one. Implementations may
+    /// parallelize.
+    fn ingest_batch(&mut self, flows: &[FlowRecord]);
     /// Stage-2 sweep at data time `now`.
     fn tick(&mut self, now: u64) -> TickReport;
     /// Full state snapshot stamped `ts`.
@@ -82,6 +79,10 @@ pub trait TickEngine {
 impl TickEngine for IpdEngine {
     fn ingest(&mut self, flow: &FlowRecord) {
         IpdEngine::ingest(self, flow);
+    }
+
+    fn ingest_batch(&mut self, flows: &[FlowRecord]) {
+        IpdEngine::ingest_batch(self, flows);
     }
 
     fn tick(&mut self, now: u64) -> TickReport {
@@ -537,15 +538,9 @@ impl IpdPipeline {
                     metrics.batches.inc();
                     metrics.batch_size.observe(batch.len() as u64);
                     metrics.channel_depth.set(in_rx.len() as i64);
-                    let last_ts = batch.last().map(|f| f.ts);
-                    for flow in batch {
-                        driver.observe_with(&mut engine, flow.ts, &mut emit, hook.as_mut());
-                        hook.flows(std::slice::from_ref(&flow));
-                        engine.ingest(&flow);
-                        metrics.flows.inc();
-                    }
-                    if let Some(ts) = last_ts {
-                        metrics.ingest_watermark.record(ts);
+                    driver.ingest_batch_with(&mut engine, &batch, &mut emit, hook.as_mut());
+                    if let Some(last) = batch.last() {
+                        metrics.ingest_watermark.record(last.ts);
                     }
                 }
                 hook.finished(&engine, driver.clock());
@@ -913,7 +908,7 @@ mod tests {
         };
         for ts in [10u64, 70, 65, 130, 50, 200] {
             driver.observe(&mut engine, ts, &mut out);
-            engine.ingest_parts(ts, Addr::v4(1), IngressPoint::new(1, 1), 1.0);
+            engine.ingest_parts(ts, Addr::v4(1), IngressPoint::new(1, 1), 1);
         }
         driver.finish(&mut engine, &mut out);
         // Buckets crossed: 0→1 (tick @60), 1→2 (@120), 2→3 (@180), final (@240).
@@ -932,7 +927,7 @@ mod tests {
         };
         for ts in [0u64, 1, 3, 3, 4] {
             driver.observe(&mut engine, ts, &mut out);
-            engine.ingest_parts(ts, Addr::v4(ts as u32), IngressPoint::new(1, 1), 1.0);
+            engine.ingest_parts(ts, Addr::v4(ts as u32), IngressPoint::new(1, 1), 1);
         }
         driver.finish(&mut engine, &mut out);
         // Every crossed 1-second boundary ticks exactly once, including both
@@ -973,7 +968,7 @@ mod tests {
         // forward crossing resumes from the *maximum* bucket seen.
         for ts in [310u64, 60, 0, 250, 311] {
             driver.observe(&mut engine, ts, &mut out);
-            engine.ingest_parts(ts, Addr::v4(7), IngressPoint::new(1, 1), 1.0);
+            engine.ingest_parts(ts, Addr::v4(7), IngressPoint::new(1, 1), 1);
         }
         driver.observe(&mut engine, 370, &mut out);
         // Nothing fired for the backward jumps; the forward crossing resumes

@@ -15,9 +15,11 @@
 //! * **Stage 1** ([`ShardedEngine::ingest_batch`]): ingress points are
 //!   interned *sequentially in stream order* (so `IngressId` assignment is
 //!   identical to the unsharded engine), then flows are routed to their
-//!   owning frontier unit and applied in parallel — per unit still in
-//!   stream order, so every per-IP/per-range accumulator sees the exact
-//!   float addition sequence the unsharded engine produces.
+//!   owning frontier unit and applied in parallel, each unit through the
+//!   same grouped descent the unsharded engine uses
+//!   ([`Node::ingest_run`]) — per unit still in stream order, so every
+//!   per-range accumulator sees the exact addition sequence the unsharded
+//!   engine produces.
 //! * **Stage 2** ([`ShardedEngine::tick`]): phase A fully ticks each
 //!   frontier subtree in parallel (each with its own [`TickReport`]); phase
 //!   B runs the remaining join/collapse pass on the internal nodes *above*
@@ -27,29 +29,23 @@
 //!
 //! **Determinism contract.** For any flow stream fed in the same order and
 //! any shard count K, the engine state after each `ingest_batch`/`tick` is
-//! *bit-for-bit identical* to the unsharded engine's (in `CountMode::Flows`;
-//! see below), independent of thread scheduling. Snapshots are therefore
+//! *bit-for-bit identical* to the unsharded engine's, in both count modes,
+//! independent of thread scheduling. Snapshots are therefore
 //! byte-identical, and `Snapshot::digest()` can be compared across K.
 //! Tick reports are returned in canonical form — counters summed, range
 //! lists sorted by prefix — which equals the unsharded report as a
 //! *multiset* (the unsharded sweep emits in DFS order instead).
-//!
-//! The one caveat is inherited from the unsharded engine, not introduced
-//! here: in `CountMode::Bytes`, `MonitorState::totals` sums f64 weights in
-//! `HashMap` iteration order, which is seeded randomly per process. Flows
-//! mode only ever sums exactly-representable integer counts, where every
-//! summation order yields the same bits.
 
 use ipd_lpm::{Af, Prefix};
 use ipd_netflow::FlowRecord;
 use ipd_topology::IngressPoint;
 
-use crate::engine::{EngineStats, IpdEngine, TickReport};
-use crate::ingress::{IngressId, IngressRegistry};
+use crate::engine::{prepare, EngineStats, IpdEngine, TickReport};
+use crate::ingress::IngressRegistry;
 use crate::output::Snapshot;
-use crate::params::{CountMode, IpdParams, ParamError};
+use crate::params::{IpdParams, ParamError};
 use crate::telemetry::ShardCounters;
-use crate::trie::{Node, TickCtx};
+use crate::trie::{Node, PreparedFlow, TickCtx};
 
 /// Hard ceiling on the shard count: 256 shards (depth 8) is already far
 /// beyond any host this targets, and keeps the slot-routing table small.
@@ -67,15 +63,6 @@ pub struct ShardedEngine {
     /// [`ShardedEngine::attach_telemetry`] was called. Observational only —
     /// never read back into routing or trie state.
     shard_counters: ShardCounters,
-}
-
-/// One flow, pre-interned and pre-masked, ready for the trie walk.
-struct PreparedFlow {
-    bits: u128,
-    ts: u64,
-    id: IngressId,
-    weight: f64,
-    af: Af,
 }
 
 impl ShardedEngine {
@@ -197,7 +184,7 @@ impl ShardedEngine {
         ts: u64,
         src: ipd_lpm::Addr,
         ingress: IngressPoint,
-        weight: f64,
+        weight: u64,
     ) {
         self.inner.ingest_parts(ts, src, ingress, weight);
     }
@@ -206,8 +193,9 @@ impl ShardedEngine {
     ///
     /// Interning happens first, sequentially, in stream order; the trie
     /// walks then run in parallel per frontier unit, each unit applying its
-    /// flows in stream order. The result is bit-for-bit the state
-    /// `IpdEngine::ingest` would produce flow by flow.
+    /// flows in stream order through the grouped descent the unsharded
+    /// engine uses. The result is bit-for-bit the state `IpdEngine::ingest`
+    /// would produce flow by flow.
     pub fn ingest_batch(&mut self, flows: &[FlowRecord]) {
         if flows.is_empty() {
             return;
@@ -220,23 +208,6 @@ impl ShardedEngine {
             registry,
             stats,
         } = &mut self.inner;
-        let prepared: Vec<PreparedFlow> = flows
-            .iter()
-            .map(|f| {
-                let weight = match params.count_mode {
-                    CountMode::Flows => 1.0,
-                    CountMode::Bytes => f.bytes as f64,
-                };
-                let af = f.af();
-                PreparedFlow {
-                    bits: f.src.masked(params.cidr_max(af)).bits(),
-                    ts: f.ts,
-                    id: registry.intern(IngressPoint::new(f.router, f.input_if)),
-                    weight,
-                    af,
-                }
-            })
-            .collect();
         stats.flows_ingested += flows.len() as u64;
 
         let mut entries = Vec::new();
@@ -248,23 +219,23 @@ impl ShardedEngine {
         // bits, preserving stream order within each unit.
         let v4_slots = slot_table(&entries[..v4_units], depth);
         let v6_slots = slot_table(&entries[v4_units..], depth);
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); entries.len()];
+        let mut groups: Vec<Vec<PreparedFlow>> = vec![Vec::new(); entries.len()];
         let mut slot_flows = vec![0u64; self.shard_counters.len()];
-        for (i, p) in prepared.iter().enumerate() {
-            let width = p.af.width();
+        for flow in flows {
+            let (af, p) = prepare(params, registry, flow);
             let slot = if depth == 0 {
                 0
             } else {
-                (p.bits >> (width - depth)) as usize
+                (p.bits >> (af.width() - depth)) as usize
             };
             if let Some(n) = slot_flows.get_mut(slot) {
                 *n += 1;
             }
-            let unit = match p.af {
+            let unit = match af {
                 Af::V4 => v4_slots[slot],
                 Af::V6 => v4_units + v6_slots[slot],
             };
-            groups[unit].push(i);
+            groups[unit].push(p);
         }
         for (slot, n) in slot_flows.into_iter().enumerate() {
             if n > 0 {
@@ -275,27 +246,15 @@ impl ShardedEngine {
         let busy = groups.iter().filter(|g| !g.is_empty()).count();
         if busy <= 1 {
             for ((prefix, node), group) in entries.into_iter().zip(&groups) {
-                let width = prefix.af().width();
-                for &i in group {
-                    let p = &prepared[i];
-                    node.ingest_from(prefix.len(), p.bits, width, p.ts, p.id, p.weight);
-                }
+                node.ingest_run(prefix.len(), prefix.af().width(), group);
             }
             return;
         }
         std::thread::scope(|s| {
             for ((prefix, node), group) in entries.into_iter().zip(groups) {
-                if group.is_empty() {
-                    continue;
+                if !group.is_empty() {
+                    s.spawn(move || node.ingest_run(prefix.len(), prefix.af().width(), &group));
                 }
-                let width = prefix.af().width();
-                let prepared = &prepared;
-                s.spawn(move || {
-                    for &i in &group {
-                        let p = &prepared[i];
-                        node.ingest_from(prefix.len(), p.bits, width, p.ts, p.id, p.weight);
-                    }
-                });
             }
         });
     }

@@ -150,7 +150,9 @@ impl CoreTelemetry {
 
     /// Record one completed stage-2 cycle ending at flow time `now`:
     /// counters from the report, the post-tick state gauges, the tick
-    /// watermark, and a tick-boundary flight event.
+    /// watermark, and a tick-boundary flight event. The four gauges and the
+    /// flight event share one walk of the trie, and a run that observes
+    /// none of them makes no walk at all.
     pub(crate) fn record_tick(
         &self,
         report: &TickReport,
@@ -166,17 +168,27 @@ impl CoreTelemetry {
             .add((report.dropped.len() + report.invalidated.len()) as u64);
         self.classifications_per_tick
             .observe(report.newly_classified.len() as u64);
-        self.ranges.set(engine.range_count() as i64);
-        self.classified_ranges.set(engine.classified_count() as i64);
-        self.monitored_ips.set(engine.monitored_ip_count() as i64);
-        self.state_bytes.set(engine.state_bytes_estimate() as i64);
         self.tick_watermark.record(now);
+        let gauges = [
+            &self.ranges,
+            &self.classified_ranges,
+            &self.monitored_ips,
+            &self.state_bytes,
+        ];
+        if !self.flight.is_enabled() && !gauges.iter().any(|g| g.is_enabled()) {
+            return;
+        }
+        let counts = engine.state_counts();
+        self.ranges.set(counts.ranges as i64);
+        self.classified_ranges.set(counts.classified as i64);
+        self.monitored_ips.set(counts.monitored_ips as i64);
+        self.state_bytes.set(counts.state_bytes() as i64);
         self.flight.record(
             EventKind::ShardTick,
             now,
             report.newly_classified.len() as u64,
-            engine.range_count() as u64,
-            engine.classified_count() as u64,
+            counts.ranges as u64,
+            counts.classified as u64,
         );
     }
 }
@@ -242,7 +254,7 @@ mod tests {
         };
         let mut engine = IpdEngine::new(params).unwrap();
         for i in 0..2000u32 {
-            engine.ingest_parts(30, Addr::v4(i * 4096), IngressPoint::new(1, 1), 1.0);
+            engine.ingest_parts(30, Addr::v4(i * 4096), IngressPoint::new(1, 1), 1);
         }
         let report = engine.tick(60);
         m.record_tick(&report, &engine, 60);

@@ -6,13 +6,36 @@ use crate::engine::TickReport;
 use crate::ingress::{IngressId, IngressRegistry};
 use crate::params::IpdParams;
 use crate::persist::{ClassifiedDump, IpEntryDump, RestoreError, TrieNodeDump};
-use crate::range::{decide, looks_load_balanced, ClassifiedState, Decision, RangeState};
+use crate::range::{
+    decide, looks_load_balanced, ClassifiedState, CountMap, Decision, IpState, MonitorState,
+    RangeState,
+};
+
+/// A dumped per-IP weight as the integer the engine holds: `None` unless
+/// it is a finite, non-negative integer below 2^64.
+fn exact_weight(w: f64) -> Option<u64> {
+    (w >= 0.0 && w.fract() == 0.0 && w < u64::MAX as f64).then_some(w as u64)
+}
 
 /// Per-ingress weights as a sorted plain vector (canonical dump order).
-fn sorted_counts(counts: &crate::range::CountMap) -> Vec<(u32, f64)> {
+fn sorted_counts(counts: &CountMap) -> Vec<(u32, f64)> {
     let mut v: Vec<(u32, f64)> = counts.iter().map(|(id, &w)| (id.index(), w)).collect();
     v.sort_unstable_by_key(|&(id, _)| id);
     v
+}
+
+/// Flows whose descents [`Node::ingest_run`] walks together.
+const GROUP: usize = 8;
+
+/// One flow ready for the trie walk: its ingress interned, its source
+/// masked to `cidr_max` (family width, right-aligned), its weight taken
+/// from the count mode.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PreparedFlow {
+    pub(crate) bits: u128,
+    pub(crate) ts: u64,
+    pub(crate) weight: u64,
+    pub(crate) id: IngressId,
 }
 
 /// A node of the binary range trie. Leaves carry range state; internal nodes
@@ -37,37 +60,71 @@ impl Node {
         Node::Leaf(RangeState::empty())
     }
 
-    /// Stage 1: walk to the leaf covering `bits` and record the sample.
-    /// `bits` must already be masked to `cidr_max`. `self` must be the
-    /// family root.
-    pub(crate) fn ingest(&mut self, bits: u128, width: u8, ts: u64, id: IngressId, weight: f64) {
-        self.ingest_from(0, bits, width, ts, id, weight);
+    /// Stage 1 for a run of flows that all fall under this node, which sits
+    /// `depth` levels below its family root (0 for the root itself; the
+    /// sharded engine ingests straight into frontier subtrees). The flows
+    /// are taken [`GROUP`] at a time: first every descent of the group is
+    /// walked read-only, one level of each flow per step, so their cache
+    /// misses overlap instead of queueing behind each other; then each flow
+    /// is applied in stream order, exactly as one-by-one ingest would.
+    pub(crate) fn ingest_run(&mut self, depth: u8, width: u8, flows: &[PreparedFlow]) {
+        for group in flows.chunks(GROUP) {
+            if group.len() > 1 {
+                self.prewalk(depth, width, group);
+            }
+            for flow in group {
+                self.ingest_from(depth, width, flow);
+            }
+        }
     }
 
-    /// [`Node::ingest`] for a node sitting `depth` levels below the family
-    /// root — the sharded engine ingests directly into frontier subtrees,
-    /// whose bit walk must start at the subtree's depth, not at the top.
-    pub(crate) fn ingest_from(
-        &mut self,
-        mut depth: u8,
-        bits: u128,
-        width: u8,
-        ts: u64,
-        id: IngressId,
-        weight: f64,
-    ) {
+    /// The read-only half of [`Node::ingest_run`]: bring each flow's path
+    /// and the leaf entry it will update into cache.
+    fn prewalk(&self, depth: u8, width: u8, group: &[PreparedFlow]) {
+        let mut at = [self; GROUP];
+        let at = &mut at[..group.len()];
+        let mut level = depth;
+        loop {
+            let mut moved = false;
+            for (node, flow) in at.iter_mut().zip(group) {
+                if let Node::Internal(children) = *node {
+                    *node = &children[((flow.bits >> (width - 1 - level)) & 1) as usize];
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+            level += 1;
+        }
+        for (node, flow) in at.iter().zip(group) {
+            match node {
+                Node::Leaf(RangeState::Monitoring(m)) => m.touch(flow.bits, flow.id),
+                Node::Leaf(RangeState::Classified(c)) => {
+                    std::hint::black_box(c.counts.get(&flow.id));
+                }
+                Node::Internal(_) => unreachable!("the walk stops at leaves"),
+            }
+        }
+    }
+
+    /// Walk to the leaf covering `flow.bits` from this node, `depth` levels
+    /// below the family root, and record the sample there.
+    pub(crate) fn ingest_from(&mut self, mut depth: u8, width: u8, flow: &PreparedFlow) {
         let mut node = self;
         loop {
             match node {
                 Node::Internal(children) => {
-                    let bit = ((bits >> (width - 1 - depth)) & 1) as usize;
+                    let bit = ((flow.bits >> (width - 1 - depth)) & 1) as usize;
                     depth += 1;
                     node = &mut children[bit];
                 }
                 Node::Leaf(state) => {
                     match state {
-                        RangeState::Monitoring(m) => m.add(bits, ts, id, weight),
-                        RangeState::Classified(c) => c.add(ts, id, weight),
+                        RangeState::Monitoring(m) => {
+                            m.add(flow.bits, flow.ts, flow.id, flow.weight)
+                        }
+                        RangeState::Classified(c) => c.add(flow.ts, flow.id, flow.weight as f64),
                     }
                     return;
                 }
@@ -102,12 +159,13 @@ impl Node {
             RangeState::Monitoring(m) => {
                 // Line 7: remove expired per-IP state.
                 ctx.report.expired_ips += m.expire(ctx.now, params.e_secs);
-                let (total, per_ingress) = m.totals();
+                let total = m.total() as f64;
                 let n_cidr = params.n_cidr(prefix.af(), prefix.len());
                 // Line 8: enough samples?
                 if total < n_cidr {
                     return;
                 }
+                let per_ingress = m.per_ingress();
                 let at_max = prefix.len() >= cidr_max;
                 match decide(
                     &per_ingress,
@@ -317,12 +375,16 @@ impl Node {
             }
             Node::Leaf(RangeState::Monitoring(m)) => {
                 let mut ips: Vec<IpEntryDump> = m
-                    .ips
-                    .iter()
-                    .map(|(&ip, st)| IpEntryDump {
-                        ip,
-                        last_ts: st.last_ts,
-                        counts: sorted_counts(&st.counts),
+                    .ips()
+                    .map(|(ip, st)| {
+                        let mut counts: Vec<(u32, f64)> =
+                            st.counts().map(|(id, w)| (id.index(), w as f64)).collect();
+                        counts.sort_unstable_by_key(|&(id, _)| id);
+                        IpEntryDump {
+                            ip,
+                            last_ts: st.last_ts,
+                            counts,
+                        }
                     })
                     .collect();
                 ips.sort_unstable_by_key(|e| e.ip);
@@ -373,26 +435,49 @@ impl Node {
                 Ok(Node::Internal(Box::new([left, right])))
             }
             TrieNodeDump::Monitoring(ips) => {
-                let mut m = crate::range::MonitorState::default();
+                let bad = |why| RestoreError::BadCounts(af, why);
+                let mut m = MonitorState::default();
+                let mut total = 0u64;
                 for e in ips {
-                    let mut counts = crate::range::CountMap::with_capacity(e.counts.len());
+                    let mut st: Option<IpState> = None;
                     for &(id, w) in &e.counts {
-                        counts.insert(check_id(id)?, w);
+                        let id = check_id(id)?;
+                        let w = exact_weight(w)
+                            .ok_or(bad("a per-IP weight is not a non-negative integer"))?;
+                        total = total
+                            .checked_add(w)
+                            .ok_or(bad("a range's weights overflow 64 bits"))?;
+                        match &mut st {
+                            None => st = Some(IpState::new(e.last_ts, id, w)),
+                            Some(st) => {
+                                if !st.add(id, w) {
+                                    return Err(bad("an IP entry lists an ingress twice"));
+                                }
+                            }
+                        }
                     }
-                    m.ips.insert(
-                        e.ip,
-                        crate::range::IpState {
-                            last_ts: e.last_ts,
-                            counts,
-                        },
-                    );
+                    let st = st.ok_or(bad("an IP entry holds no counts"))?;
+                    if !m.insert(e.ip, st) {
+                        return Err(bad("a range lists an IP twice"));
+                    }
                 }
                 Ok(Node::Leaf(RangeState::Monitoring(m)))
             }
             TrieNodeDump::Classified(c) => {
-                let mut counts = crate::range::CountMap::with_capacity(c.counts.len());
+                let weight = |w: f64| {
+                    if w.is_finite() && w >= 0.0 {
+                        Ok(w)
+                    } else {
+                        Err(RestoreError::BadCounts(
+                            af,
+                            "a classified weight is NaN, infinite or negative",
+                        ))
+                    }
+                };
+                let mut counts =
+                    CountMap::with_capacity_and_hasher(c.counts.len(), Default::default());
                 for &(id, w) in &c.counts {
-                    counts.insert(check_id(id)?, w);
+                    counts.insert(check_id(id)?, weight(w)?);
                 }
                 let member_ids = c
                     .member_ids
@@ -403,7 +488,7 @@ impl Node {
                     ingress: c.ingress.clone(),
                     member_ids,
                     counts,
-                    total: c.total,
+                    total: weight(c.total)?,
                     last_ts: c.last_ts,
                     since: c.since,
                 })))
@@ -414,7 +499,7 @@ impl Node {
     /// (leaves, classified leaves, monitored source IPs) in this subtree.
     pub(crate) fn counts(&self) -> (usize, usize, usize) {
         match self {
-            Node::Leaf(RangeState::Monitoring(m)) => (1, 0, m.ips.len()),
+            Node::Leaf(RangeState::Monitoring(m)) => (1, 0, m.ip_count()),
             Node::Leaf(RangeState::Classified(_)) => (1, 1, 0),
             Node::Internal(children) => {
                 let a = children[0].counts();
@@ -432,6 +517,22 @@ mod tests {
     use crate::ingress::LogicalIngress;
     use ipd_lpm::{Addr, Af};
     use ipd_topology::IngressPoint;
+
+    impl Node {
+        /// One sample into the family root.
+        fn ingest(&mut self, bits: u128, width: u8, ts: u64, id: IngressId, weight: u64) {
+            self.ingest_from(
+                0,
+                width,
+                &PreparedFlow {
+                    bits,
+                    ts,
+                    weight,
+                    id,
+                },
+            );
+        }
+    }
 
     fn small_params() -> IpdParams {
         IpdParams {
@@ -466,7 +567,7 @@ mod tests {
         let id = reg.intern(IngressPoint::new(1, 1));
         let mut root = Node::empty();
         for i in 0..100u32 {
-            root.ingest(Addr::v4(i * 1000).masked(28).bits(), 32, 10, id, 1.0);
+            root.ingest(Addr::v4(i * 1000).masked(28).bits(), 32, 10, id, 1);
         }
         let report = tick_once(&mut root, &params, &reg, 60);
         assert_eq!(report.newly_classified.len(), 1);
@@ -485,13 +586,13 @@ mod tests {
         let mut root = Node::empty();
         // Low half via a, high half via b.
         for i in 0..60u32 {
-            root.ingest(Addr::v4(i * 64).masked(28).bits(), 32, 10, a, 1.0);
+            root.ingest(Addr::v4(i * 64).masked(28).bits(), 32, 10, a, 1);
             root.ingest(
                 Addr::v4(0x8000_0000 + i * 64).masked(28).bits(),
                 32,
                 10,
                 b,
-                1.0,
+                1,
             );
         }
         // The ambiguous root splits and — because the sweep cascades into
@@ -516,13 +617,13 @@ mod tests {
         let b = reg.intern(IngressPoint::new(2, 1));
         let mut root = Node::empty();
         for i in 0..100u32 {
-            root.ingest(Addr::v4(i * 1000).masked(28).bits(), 32, 10, a, 1.0);
+            root.ingest(Addr::v4(i * 1000).masked(28).bits(), 32, 10, a, 1);
         }
         tick_once(&mut root, &params, &reg, 60);
         assert_eq!(root.counts().1, 1);
         // Now the ingress shifts: feed heavy traffic via b.
         for i in 0..300u32 {
-            root.ingest(Addr::v4(i * 1000).masked(28).bits(), 32, 70, b, 1.0);
+            root.ingest(Addr::v4(i * 1000).masked(28).bits(), 32, 70, b, 1);
         }
         let report = tick_once(&mut root, &params, &reg, 120);
         assert_eq!(report.invalidated.len(), 1);
@@ -536,7 +637,7 @@ mod tests {
         let a = reg.intern(IngressPoint::new(1, 1));
         let mut root = Node::empty();
         for i in 0..50u32 {
-            root.ingest(Addr::v4(i * 1000).masked(28).bits(), 32, 10, a, 1.0);
+            root.ingest(Addr::v4(i * 1000).masked(28).bits(), 32, 10, a, 1);
         }
         tick_once(&mut root, &params, &reg, 60);
         assert_eq!(root.counts().1, 1);
@@ -566,13 +667,13 @@ mod tests {
         // Phase 1: two ingresses → split at tick 1, halves classify (a, b)
         // at tick 2 while the per-IP state is still fresh.
         for i in 0..60u32 {
-            root.ingest(Addr::v4(i * 64).masked(28).bits(), 32, 10, a, 1.0);
+            root.ingest(Addr::v4(i * 64).masked(28).bits(), 32, 10, a, 1);
             root.ingest(
                 Addr::v4(0x8000_0000 + i * 64).masked(28).bits(),
                 32,
                 10,
                 b,
-                1.0,
+                1,
             );
         }
         let r = tick_once(&mut root, &params, &reg, 60);
@@ -585,13 +686,13 @@ mod tests {
         let mut now = 61;
         for _ in 0..10 {
             for i in 0..60u32 {
-                root.ingest(Addr::v4(i * 64).masked(28).bits(), 32, now, a, 1.0);
+                root.ingest(Addr::v4(i * 64).masked(28).bits(), 32, now, a, 1);
                 root.ingest(
                     Addr::v4(0x8000_0000 + i * 64).masked(28).bits(),
                     32,
                     now,
                     a,
-                    1.0,
+                    1,
                 );
             }
             now += params.t_secs;
@@ -623,13 +724,13 @@ mod tests {
         let b = reg.intern(IngressPoint::new(2, 1));
         let mut root = Node::empty();
         for i in 0..60u32 {
-            root.ingest(Addr::v4(i * 64).masked(28).bits(), 32, 10, a, 1.0);
+            root.ingest(Addr::v4(i * 64).masked(28).bits(), 32, 10, a, 1);
             root.ingest(
                 Addr::v4(0x8000_0000 + i * 64).masked(28).bits(),
                 32,
                 10,
                 b,
-                1.0,
+                1,
             );
         }
         tick_once(&mut root, &params, &reg, 60); // split + classify halves
@@ -661,7 +762,7 @@ mod tests {
         let mut root = Node::empty();
         for i in 0..200u32 {
             let addr = Addr::v4(0x0A000000 + (i % 4)).masked(28).bits();
-            root.ingest(addr, 32, 10, if i % 2 == 0 { a } else { b }, 1.0);
+            root.ingest(addr, 32, 10, if i % 2 == 0 { a } else { b }, 1);
         }
         let report = tick_once(&mut root, &params, &reg, 60);
         assert!(report.newly_classified.is_empty(), "LB must not classify");
@@ -688,7 +789,7 @@ mod tests {
         let mut root = Node::empty();
         for i in 0..200u32 {
             let addr = Addr::v4(0x0A000000 + (i % 4)).masked(28).bits();
-            root.ingest(addr, 32, 10, if i % 2 == 0 { a } else { b }, 1.0);
+            root.ingest(addr, 32, 10, if i % 2 == 0 { a } else { b }, 1);
         }
         let report = tick_once(&mut root, &params, &reg, 60);
         assert!(
@@ -716,7 +817,7 @@ mod tests {
             for (i, &id) in ids.iter().enumerate() {
                 for j in 0..50u32 {
                     let addr = Addr::v4(((i as u32) << 28) + j * 1024);
-                    root.ingest(addr.masked(2).bits(), 32, round * 60, id, 1.0);
+                    root.ingest(addr.masked(2).bits(), 32, round * 60, id, 1);
                 }
             }
             tick_once(&mut root, &params, &reg, (round + 1) * 60);

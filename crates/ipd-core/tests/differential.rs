@@ -12,7 +12,9 @@
 //! — and every run must produce the identical classified prefix→ingress
 //! set, identical cumulative [`EngineStats`], identical canonicalized tick
 //! reports, and bit-for-bit identical snapshot digests. This is the
-//! determinism contract of the `shard` module, checked end to end.
+//! determinism contract of the `shard` module, checked end to end. The
+//! property tests run it in both count modes, with byte counts drawn from
+//! the edges of the `u32` field (0, 1, 1400, `u32::MAX`).
 //!
 //! The row-source tests hold the publication path to the snapshot path
 //! after every tick: [`IpdEngine::served_rows`] equals the classified
@@ -25,8 +27,8 @@ use ipd::pipeline::{
     ShardedPipeline, TickEngine,
 };
 use ipd::{
-    EngineStats, IpdEngine, IpdParams, LogicalIngress, ServedRow, ShardedEngine, StoreDelta,
-    TickReport,
+    CountMode, EngineStats, IpdEngine, IpdParams, LogicalIngress, ServedRow, ShardedEngine,
+    StoreDelta, TickReport,
 };
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
@@ -116,23 +118,23 @@ fn run_with_offline<E: TickEngine>(engine: &mut E, flows: &[FlowRecord]) -> Vec<
     outputs
 }
 
-fn reference_run(flows: &[FlowRecord]) -> RunResult {
-    let mut engine = IpdEngine::new(test_params()).unwrap();
+fn reference_run(flows: &[FlowRecord], params: &IpdParams) -> RunResult {
+    let mut engine = IpdEngine::new(params.clone()).unwrap();
     let outputs = run_with_offline(&mut engine, flows);
     let snap = engine.snapshot(u64::MAX);
     summarize(engine.stats().clone(), outputs, snap)
 }
 
-fn sharded_offline_run(flows: &[FlowRecord], shards: usize) -> RunResult {
-    let mut engine = ShardedEngine::new(test_params(), shards).unwrap();
+fn sharded_offline_run(flows: &[FlowRecord], params: &IpdParams, shards: usize) -> RunResult {
+    let mut engine = ShardedEngine::new(params.clone(), shards).unwrap();
     let outputs = run_with_offline(&mut engine, flows);
     let snap = engine.snapshot(u64::MAX);
     summarize(engine.stats().clone(), outputs, snap)
 }
 
-fn threaded_run(flows: &[FlowRecord], batch: usize) -> RunResult {
+fn threaded_run(flows: &[FlowRecord], params: &IpdParams, batch: usize) -> RunResult {
     let pipeline = IpdPipeline::spawn(PipelineConfig {
-        params: test_params(),
+        params: params.clone(),
         channel_capacity: 8,
         snapshot_every_ticks: SNAPSHOT_EVERY,
         shards: 1,
@@ -153,9 +155,14 @@ fn threaded_run(flows: &[FlowRecord], batch: usize) -> RunResult {
     summarize(engine.stats().clone(), outputs, snap)
 }
 
-fn sharded_pipeline_run(flows: &[FlowRecord], shards: usize, batch: usize) -> RunResult {
+fn sharded_pipeline_run(
+    flows: &[FlowRecord],
+    params: &IpdParams,
+    shards: usize,
+    batch: usize,
+) -> RunResult {
     let pipeline = ShardedPipeline::spawn(PipelineConfig {
-        params: test_params(),
+        params: params.clone(),
         channel_capacity: 8,
         snapshot_every_ticks: SNAPSHOT_EVERY,
         shards,
@@ -177,41 +184,64 @@ fn sharded_pipeline_run(flows: &[FlowRecord], shards: usize, batch: usize) -> Ru
 }
 
 /// Assert full equivalence of all execution strategies on one stream.
-fn assert_all_equivalent(flows: &[FlowRecord], batch: usize) -> RunResult {
-    let reference = reference_run(flows);
-    let threaded = threaded_run(flows, batch);
-    assert_eq!(threaded, reference, "threaded IpdPipeline diverged");
+fn assert_all_equivalent(flows: &[FlowRecord], params: &IpdParams, batch: usize) -> RunResult {
+    let mode = params.count_mode;
+    let reference = reference_run(flows, params);
+    let threaded = threaded_run(flows, params, batch);
+    assert_eq!(
+        threaded, reference,
+        "{mode:?}: threaded IpdPipeline diverged"
+    );
     for k in [1usize, 2, 8] {
-        let offline = sharded_offline_run(flows, k);
+        let offline = sharded_offline_run(flows, params, k);
         assert_eq!(
             offline, reference,
-            "ShardedEngine (offline driver) K={k} diverged"
+            "{mode:?}: ShardedEngine (offline driver) K={k} diverged"
         );
-        let piped = sharded_pipeline_run(flows, k, batch);
-        assert_eq!(piped, reference, "ShardedPipeline K={k} diverged");
+        let piped = sharded_pipeline_run(flows, params, k, batch);
+        assert_eq!(piped, reference, "{mode:?}: ShardedPipeline K={k} diverged");
     }
     reference
 }
 
-/// One synthetic sample: (seconds offset, source bits, ingress index, v6?).
-type Sample = (u16, u32, u8, bool);
+/// [`assert_all_equivalent`] in both count modes.
+fn assert_equivalent_in_both_modes(flows: &[FlowRecord], batch: usize) {
+    for count_mode in [CountMode::Flows, CountMode::Bytes] {
+        let params = IpdParams {
+            count_mode,
+            ..test_params()
+        };
+        assert_all_equivalent(flows, &params, batch);
+    }
+}
+
+/// Byte counts at the edges of the record's `u32` field.
+fn bytes() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(0u32), Just(1), Just(1400), Just(u32::MAX)]
+}
+
+/// One synthetic sample: (seconds offset, source bits, ingress index, v6?,
+/// bytes).
+type Sample = (u16, u32, u8, bool, u32);
 
 fn flows_from_samples(samples: &[Sample]) -> Vec<FlowRecord> {
     samples
         .iter()
-        .map(|&(off, bits, ing, v6)| {
+        .map(|&(off, bits, ing, v6, bytes)| {
             let src = if v6 {
                 Addr::v6((0x2001_0db8u128 << 96) | (u128::from(bits) << 24))
             } else {
                 Addr::v4(bits)
             };
             // Spread over routers and interfaces so bundles are possible.
-            FlowRecord::synthetic(
+            let mut flow = FlowRecord::synthetic(
                 u64::from(off),
                 src,
                 u32::from(ing / 2) + 1,
                 u16::from(ing % 2) + 1,
-            )
+            );
+            flow.bytes = bytes;
+            flow
         })
         .collect()
 }
@@ -219,14 +249,15 @@ fn flows_from_samples(samples: &[Sample]) -> Vec<FlowRecord> {
 proptest! {
     /// Seeded random streams — unsorted timestamps included, so late data
     /// and bucket-gap decay paths are exercised — produce identical results
-    /// through every execution strategy.
+    /// through every execution strategy, in both count modes.
     #[test]
     fn random_streams_are_equivalent(
-        samples in proptest::collection::vec((0u16..480, any::<u32>(), 0u8..6, any::<bool>()), 1..300),
+        samples in proptest::collection::vec(
+            (0u16..480, any::<u32>(), 0u8..6, any::<bool>(), bytes()), 1..300),
         batch in 1usize..128,
     ) {
         let flows = flows_from_samples(&samples);
-        assert_all_equivalent(&flows, batch);
+        assert_equivalent_in_both_modes(&flows, batch);
     }
 
     /// Streams concentrated on few /20s force splits down to cidr_max and
@@ -234,15 +265,15 @@ proptest! {
     #[test]
     fn concentrated_streams_are_equivalent(
         samples in proptest::collection::vec(
-            (0u16..300, 0u32..1 << 14, 0u8..4, any::<bool>()), 1..300),
+            (0u16..300, 0u32..1 << 14, 0u8..4, any::<bool>(), bytes()), 1..300),
         batch in 1usize..64,
     ) {
         // Map the narrow source space onto two distant /20-sized pools.
         let flows: Vec<FlowRecord> = samples
             .iter()
-            .map(|&(off, bits, ing, high)| {
+            .map(|&(off, bits, ing, high, bytes)| {
                 let base = if high { 0xC000_0000u32 } else { 0x0A00_0000 };
-                let mut f = flows_from_samples(&[(off, base | (bits & 0xFFF), ing, false)])
+                let mut f = flows_from_samples(&[(off, base | (bits & 0xFFF), ing, false, bytes)])
                     .pop()
                     .unwrap();
                 f.input_if = u16::from(ing % 3) + 1; // same-router interfaces → bundles
@@ -250,7 +281,7 @@ proptest! {
                 f
             })
             .collect();
-        assert_all_equivalent(&flows, batch);
+        assert_equivalent_in_both_modes(&flows, batch);
     }
 }
 
@@ -279,7 +310,7 @@ fn telemetry_is_inert() {
         }
     }
     flows.sort_by_key(|f| f.ts);
-    let reference = reference_run(&flows);
+    let reference = reference_run(&flows, &test_params());
 
     let instrumented_offline = |shards: Option<usize>| -> (RunResult, Telemetry) {
         let telemetry = Telemetry::new();
@@ -576,7 +607,7 @@ fn seeded_heavy_stream() -> Vec<FlowRecord> {
 /// equivalence assertion is identical to the property tests above.
 #[test]
 fn seeded_heavy_stream_is_equivalent() {
-    let reference = assert_all_equivalent(&seeded_heavy_stream(), 512);
+    let reference = assert_all_equivalent(&seeded_heavy_stream(), &test_params(), 512);
     // The stream must actually have exercised the interesting machinery —
     // otherwise the equivalence proof is vacuous.
     assert!(reference.stats.flows_ingested > 40_000);

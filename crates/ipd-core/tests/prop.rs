@@ -34,12 +34,7 @@ fn run(params: &IpdParams, samples: &[Sample]) -> IpdEngine {
             bucket += 1;
             engine.tick(bucket * params.t_secs);
         }
-        engine.ingest_parts(
-            ts,
-            Addr::v4(bits),
-            IngressPoint::new(ing as u32 + 1, 1),
-            1.0,
-        );
+        engine.ingest_parts(ts, Addr::v4(bits), IngressPoint::new(ing as u32 + 1, 1), 1);
     }
     engine.tick((bucket + 1) * params.t_secs);
     engine

@@ -270,12 +270,12 @@ fn fig5(_ctx: &mut Ctx) {
     for minute in 0..4u64 {
         for i in 0..400u32 {
             let ts = minute * 60 + (i % 60) as u64;
-            engine.ingest_parts(ts, Addr::v4(i * 1024), IngressPoint::new(1, 1), 1.0);
+            engine.ingest_parts(ts, Addr::v4(i * 1024), IngressPoint::new(1, 1), 1);
             engine.ingest_parts(
                 ts,
                 Addr::v4(0x8000_0000 + i * 1024),
                 IngressPoint::new(2, 1),
-                1.0,
+                1,
             );
         }
         let report = engine.tick((minute + 1) * 60);

@@ -140,12 +140,12 @@ mod tests {
         };
         let mut e = IpdEngine::new(params).unwrap();
         for i in 0..600u32 {
-            e.ingest_parts(30, Addr::v4(i * 1024), IngressPoint::new(1, 1), 1.0);
+            e.ingest_parts(30, Addr::v4(i * 1024), IngressPoint::new(1, 1), 1);
             e.ingest_parts(
                 30,
                 Addr::v4(0x8000_0000 + i * 1024),
                 IngressPoint::new(2, 4),
-                1.0,
+                1,
             );
         }
         e.tick(60);

@@ -527,7 +527,7 @@ mod tests {
                 30,
                 Addr::v4(i.wrapping_mul(0x9E37_79B9)),
                 IngressPoint::new(1 + i % 3, 1 + (i % 2) as u16),
-                1.0,
+                1,
             );
         }
         for i in 0..50u128 {
@@ -535,7 +535,7 @@ mod tests {
                 40,
                 Addr::v6((0x2001_0db8u128 << 96) | (i << 40)),
                 IngressPoint::new(9, 1),
-                1.0,
+                1,
             );
         }
         e.tick(60);

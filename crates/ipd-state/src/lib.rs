@@ -27,9 +27,8 @@
 //! classified set are bit-for-bit identical to an uninterrupted run. This
 //! holds for the plain engine and for [`ipd::ShardedEngine`] at any shard
 //! count — checkpoints are shard-count-free, so a run checkpointed at one
-//! width can be restored at another. (Like the sharding contract, bit-for-
-//! bit equality is guaranteed in [`ipd::CountMode::Flows`]; in `Bytes` mode
-//! float summation order can differ in the last ulp.)
+//! width can be restored at another. Like the sharding contract, this
+//! holds in both count modes.
 
 pub mod codec;
 pub mod durable;

@@ -5,15 +5,16 @@
 //! Every live [`crate::Telemetry`] registry owns one ring
 //! ([`crate::Telemetry::flight`]); a disabled registry hands out no-op
 //! recorders, so the inertness contract extends to the recorder unchanged.
-//! Writers claim a slot with one `fetch_add` and publish it under a per-slot
-//! seqlock (sequence odd while the write is in flight, even once stable);
-//! when the ring wraps, the oldest events are overwritten — the recorder
-//! keeps the *last* [`FLIGHT_CAPACITY`] events, always. Readers
-//! ([`FlightRecorder::dump`]) skip slots whose write is in flight and sort
-//! the survivors by sequence number, oldest first. Every field is an
-//! atomic: a torn read is impossible by construction, the seqlock only
-//! guards against *mixed* reads (fields from two different events in one
-//! decoded record).
+//! Writers take a ticket with one `fetch_add` and publish into its slot
+//! under a per-slot seqlock (sequence odd while the write is in flight,
+//! even once stable), entered with a compare-exchange so that at most one
+//! writer is ever in a slot; when the ring wraps, the oldest events are
+//! overwritten — the recorder keeps the *last* [`FLIGHT_CAPACITY`] events,
+//! always. Readers ([`FlightRecorder::dump`]) skip slots whose write is in
+//! flight and sort the survivors by sequence number, oldest first. Every
+//! field is an atomic: a torn read is impossible by construction, the
+//! seqlock only guards against *mixed* reads (fields from two different
+//! events in one decoded record).
 //!
 //! Events are 5-tuple payloads `(kind, ts, a, b, c)` — the meaning of
 //! `ts`/`a`/`b`/`c` is per-kind (see [`EventKind`]). The wire codec
@@ -139,7 +140,31 @@ impl FlightRing {
     fn record(&self, kind: u8, ts: u64, a: u64, b: u64, c: u64) {
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
-        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
+        // Claim the slot from a stable state: two writers whose tickets are
+        // a ring length apart share a slot, and interleaved field stores
+        // under one even sequence would be a mixed read. A writer in flight
+        // is waited out; a newer event already in the slot wins, and this
+        // older one is dropped.
+        let mut seq = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if seq % 2 == 1 {
+                std::hint::spin_loop();
+                seq = slot.seq.load(Ordering::Relaxed);
+                continue;
+            }
+            if seq > 2 * ticket {
+                return;
+            }
+            match slot.seq.compare_exchange_weak(
+                seq,
+                2 * ticket + 1,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(now) => seq = now,
+            }
+        }
         fence(Ordering::Release);
         slot.kind.store(kind as u64, Ordering::Relaxed);
         slot.ts.store(ts, Ordering::Relaxed);

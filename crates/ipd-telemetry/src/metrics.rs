@@ -57,6 +57,11 @@ impl Gauge {
         Gauge(None)
     }
 
+    /// Whether this handle records anything.
+    pub fn is_enabled(&self) -> bool {
+        self.0.is_some()
+    }
+
     /// Set the current value.
     #[inline]
     pub fn set(&self, v: i64) {

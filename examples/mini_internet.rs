@@ -31,7 +31,7 @@ fn feed<R: Rng>(engine: &mut IpdEngine, rng: &mut R, minute: u64) {
             ts + rng.random_range(0..60u64),
             addr,
             IngressPoint::new(1, 1),
-            1.0,
+            1,
         );
     }
     // CDN: enters via a two-interface bundle on R2 until minute 8, then the
@@ -43,7 +43,7 @@ fn feed<R: Rng>(engine: &mut IpdEngine, rng: &mut R, minute: u64) {
         } else {
             IngressPoint::new(3, 1)
         };
-        engine.ingest_parts(ts + rng.random_range(0..60u64), addr, ingress, 1.0);
+        engine.ingest_parts(ts + rng.random_range(0..60u64), addr, ingress, 1);
     }
     // The pathological neighbor: hashes flows across routers R1 and R3.
     for _ in 0..200 {
@@ -53,7 +53,7 @@ fn feed<R: Rng>(engine: &mut IpdEngine, rng: &mut R, minute: u64) {
         } else {
             IngressPoint::new(3, 7)
         };
-        engine.ingest_parts(ts + rng.random_range(0..60u64), addr, ingress, 1.0);
+        engine.ingest_parts(ts + rng.random_range(0..60u64), addr, ingress, 1);
     }
 }
 

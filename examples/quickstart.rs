@@ -84,7 +84,7 @@ fn main() {
             let (base, ingress) = blocks[rng.random_range(0..blocks.len())];
             let addr = Addr::v4(base + rng.random_range(0u32..1 << 20));
             let ts = minute * 60 + rng.random_range(0..60u64);
-            engine.ingest_parts(ts, addr, ingress, 1.0);
+            engine.ingest_parts(ts, addr, ingress, 1);
         }
         let report = engine.tick((minute + 1) * 60);
         println!(

@@ -4,14 +4,14 @@
 //!
 //! The pinned numbers below encode the full behavior chain: the world
 //! generator and flow simulator (seeded `StdRng` streams), stage-1
-//! accumulation (exact integer f64 sums in `CountMode::Flows`), the stage-2
+//! accumulation (exact integer sums in both count modes), the stage-2
 //! classify/split/join/decay cascade, and the canonical snapshot encoding
 //! behind `Snapshot::digest()`. If any of those changes behavior — knowingly
 //! or not — this test is the tripwire. Update the constants only for an
 //! *intentional* behavior change, and say so in the commit.
 
 use ipd_suite::ipd::pipeline::{run_offline, run_offline_with, PipelineOutput};
-use ipd_suite::ipd::{IpdEngine, IpdParams, LogicalIngress, ShardedEngine, Snapshot};
+use ipd_suite::ipd::{CountMode, IpdEngine, IpdParams, LogicalIngress, ShardedEngine, Snapshot};
 use ipd_suite::netflow::FlowRecord;
 use ipd_suite::serve::{ServePublisher, ServeTelemetry};
 use ipd_suite::traffic::{FlowSim, SimConfig, World, WorldConfig};
@@ -31,6 +31,11 @@ const GOLDEN_CLASSIFICATIONS: u64 = 3_980;
 /// `ServePublisher` — the concurrent-store counterpart of
 /// [`GOLDEN_DIGEST`], pinned for both 1 and 8 store regions.
 const GOLDEN_STORE_DIGEST: u64 = 0x8fbf_9ec1_038c_7eba;
+
+/// The same run in `CountMode::Bytes`: every sample weighs its flow's byte
+/// count, so the stage-1 sums are large integers. Pinned for K ∈ {1, 8}.
+const GOLDEN_BYTES_DIGEST: u64 = 0xaba7_816f_d81a_5b0f;
+const GOLDEN_BYTES_CLASSIFIED: usize = 1_729;
 
 fn golden_params() -> IpdParams {
     IpdParams {
@@ -103,6 +108,28 @@ fn golden_digest_is_shard_count_invariant() {
     let mut outputs = Vec::new();
     run_offline(&mut engine, flows.iter().cloned(), 5, |o| outputs.push(o));
     assert_eq!(last_snapshot(outputs).digest(), GOLDEN_DIGEST);
+}
+
+#[test]
+fn golden_bytes_mode_run_is_stable_and_shard_count_invariant() {
+    let flows = golden_flows();
+    let params = IpdParams {
+        count_mode: CountMode::Bytes,
+        ..golden_params()
+    };
+    for k in [1usize, 8] {
+        let mut engine = ShardedEngine::new(params.clone(), k).unwrap();
+        let mut outputs = Vec::new();
+        run_offline(&mut engine, flows.iter().cloned(), 5, |o| outputs.push(o));
+        let snap = last_snapshot(outputs);
+        assert_eq!(engine.stats().flows_ingested, GOLDEN_FLOWS);
+        assert_eq!(
+            (snap.digest(), snap.classified().count()),
+            (GOLDEN_BYTES_DIGEST, GOLDEN_BYTES_CLASSIFIED),
+            "K={k}: Bytes-mode snapshot drifted — stats: {:?}",
+            engine.stats()
+        );
+    }
 }
 
 /// Canonical FNV-1a encoding of the live store's materialised rows: address
