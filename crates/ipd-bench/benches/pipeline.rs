@@ -37,7 +37,6 @@ fn bench_pipeline(c: &mut Criterion) {
                 params: params(),
                 channel_capacity: 256,
                 snapshot_every_ticks: 5,
-                shards: 1,
                 ..Default::default()
             })
             .unwrap();

@@ -1,6 +1,5 @@
 //! Telemetry hot-path overhead: the same offline ingest+tick run with a
-//! disabled registry, a live registry, and a live registry on the sharded
-//! engine (per-shard counters included). The acceptance bound for the
+//! disabled registry and with a live registry. The acceptance bound for the
 //! observability layer is <3% ingest regression live-vs-disabled; compare
 //! the `disabled` and `enabled` lines.
 //!
@@ -9,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ipd::pipeline::{run_offline_instrumented, NoopHook};
-use ipd::{IpdEngine, IpdParams, ShardedEngine};
+use ipd::{IpdEngine, IpdParams};
 use ipd_bench::{flow_batch, scaled_factor};
 use ipd_telemetry::{Class, Telemetry, SIZE_BUCKETS};
 
@@ -52,24 +51,6 @@ fn bench_telemetry(c: &mut Criterion) {
         b.iter(|| run(&telemetry))
     });
 
-    g.bench_function("enabled_sharded_k4", |b| {
-        let telemetry = Telemetry::new();
-        b.iter(|| {
-            let mut engine = ShardedEngine::new(params(), 4).unwrap();
-            engine.attach_telemetry(&telemetry);
-            let mut outputs = 0usize;
-            run_offline_instrumented(
-                &mut engine,
-                flows.iter().cloned(),
-                5,
-                None,
-                &mut NoopHook,
-                &telemetry,
-                |_| outputs += 1,
-            );
-            (engine.classified_count(), outputs)
-        })
-    });
     g.finish();
 
     let mut g = c.benchmark_group("telemetry_handles");

@@ -17,15 +17,14 @@
 //!
 //! ```text
 //! cargo run --release -p ipd-bench --bin record_obs -- \
-//!     [--tier dfz|100k|10k] [--minutes N] [--seed N] [--shards K]
-//!     [--reps N] [--out PATH]
+//!     [--tier dfz|100k|10k] [--minutes N] [--seed N] [--reps N] [--out PATH]
 //! ```
 
 use std::fmt::Write as _;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use ipd::pipeline::run_offline_instrumented;
-use ipd::{IpdEngine, IpdParams, ShardedEngine};
+use ipd::{IpdEngine, IpdParams};
 use ipd_serve::{ServePublisher, ServeTelemetry};
 use ipd_telemetry::Telemetry;
 use ipd_traffic::{DfzConfig, DfzWorld};
@@ -51,19 +50,13 @@ struct ArmResult {
 /// One full run: stream `minutes` of the substrate through the engine with
 /// an epoch publisher attached, against the given registry (live or
 /// disabled).
-fn run_arm(
-    world: &DfzWorld,
-    minutes: u64,
-    params: IpdParams,
-    shards: usize,
-    telemetry: &Telemetry,
-) -> ArmResult {
+fn run_arm(world: &DfzWorld, minutes: u64, params: IpdParams, telemetry: &Telemetry) -> ArmResult {
     let serve_metrics = if telemetry.is_enabled() {
         ServeTelemetry::register(telemetry)
     } else {
         ServeTelemetry::default()
     };
-    let mut publisher = ServePublisher::with_config(shards.next_power_of_two(), serve_metrics);
+    let mut publisher = ServePublisher::with_metrics(serve_metrics);
     let swap = publisher.swap();
 
     let mut flows = 0u64;
@@ -72,30 +65,16 @@ fn run_arm(
         f.flow
     });
     let start = Instant::now();
-    if shards <= 1 {
-        let mut engine = IpdEngine::new(params).expect("valid params");
-        run_offline_instrumented(
-            &mut engine,
-            stream,
-            SNAPSHOT_EVERY_TICKS,
-            None,
-            &mut publisher,
-            telemetry,
-            |_| {},
-        );
-    } else {
-        let mut engine = ShardedEngine::new(params, shards).expect("valid params");
-        engine.attach_telemetry(telemetry);
-        run_offline_instrumented(
-            &mut engine,
-            stream,
-            SNAPSHOT_EVERY_TICKS,
-            None,
-            &mut publisher,
-            telemetry,
-            |_| {},
-        );
-    }
+    let mut engine = IpdEngine::new(params).expect("valid params");
+    run_offline_instrumented(
+        &mut engine,
+        stream,
+        SNAPSHOT_EVERY_TICKS,
+        None,
+        &mut publisher,
+        telemetry,
+        |_| {},
+    );
     let secs = start.elapsed().as_secs_f64();
     ArmResult {
         flows,
@@ -117,7 +96,6 @@ fn main() {
     let tier = get("--tier").unwrap_or_else(|| "100k".to_string());
     let seed: u64 = get("--seed").map_or(42, |v| v.parse().expect("--seed"));
     let minutes: u64 = get("--minutes").map_or(10, |v| v.parse().expect("--minutes"));
-    let shards: usize = get("--shards").map_or(1, |v| v.parse().expect("--shards"));
     let reps: usize = get("--reps").map_or(5, |v| v.parse().expect("--reps"));
     let out = get("--out").unwrap_or_else(|| "BENCH_obs.json".to_string());
 
@@ -138,7 +116,7 @@ fn main() {
     };
     eprintln!(
         "[record_obs] tier {tier}: {} IPv4 + {} IPv6 prefixes, {minutes} min at \
-         {} flows/min, shards {shards}, {reps} rep(s) per arm",
+         {} flows/min, {reps} rep(s) per arm",
         dfz.plan.v4_prefixes, dfz.plan.v6_prefixes, dfz.flows_per_minute
     );
 
@@ -150,7 +128,6 @@ fn main() {
         &world,
         minutes.min(2),
         params.clone(),
-        shards,
         &Telemetry::disabled(),
     );
     eprintln!(
@@ -161,16 +138,8 @@ fn main() {
     let mut on_runs: Vec<ArmResult> = Vec::new();
     let mut ratios: Vec<f64> = Vec::new();
     for rep in 0..reps {
-        let run_off = || {
-            run_arm(
-                &world,
-                minutes,
-                params.clone(),
-                shards,
-                &Telemetry::disabled(),
-            )
-        };
-        let run_on = || run_arm(&world, minutes, params.clone(), shards, &Telemetry::new());
+        let run_off = || run_arm(&world, minutes, params.clone(), &Telemetry::disabled());
+        let run_on = || run_arm(&world, minutes, params.clone(), &Telemetry::new());
         // Alternate the order within each pair so slow machine drift (one
         // arm always running later than the other) cancels out.
         let (o, i) = if rep % 2 == 0 {
@@ -221,7 +190,6 @@ fn main() {
     let _ = writeln!(j, "  \"tier\": \"{tier}\",");
     let _ = writeln!(j, "  \"seed\": {seed},");
     let _ = writeln!(j, "  \"minutes\": {minutes},");
-    let _ = writeln!(j, "  \"shards\": {shards},");
     let _ = writeln!(j, "  \"reps\": {reps},");
     let _ = writeln!(j, "  \"flows\": {flows},");
     let _ = writeln!(j, "  \"epochs\": {epochs},");

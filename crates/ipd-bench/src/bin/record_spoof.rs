@@ -15,15 +15,15 @@
 //!
 //! ```text
 //! cargo run --release -p ipd-bench --bin record_spoof -- \
-//!     [--tier dfz|100k|10k] [--minutes N] [--seed N] [--shards K] [--out PATH]
+//!     [--tier dfz|100k|10k] [--minutes N] [--seed N] [--out PATH]
 //! ```
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ipd::pipeline::{BucketDriver, PipelineHook, PipelineOutput, TickEngine};
-use ipd::{IpdEngine, ShardedEngine};
-use ipd_serve::{ServePublisher, ServeTelemetry};
+use ipd::pipeline::{BucketDriver, PipelineHook, PipelineOutput};
+use ipd::IpdEngine;
+use ipd_serve::ServePublisher;
 use ipd_spoof::{MapView, RouteExpect, SpoofDetector, SpoofRunConfig, SpoofTelemetry, Verdict};
 use ipd_topology::IngressPoint;
 use ipd_traffic::{DfzConfig, DfzWorld, SpoofScenario};
@@ -50,20 +50,15 @@ struct Timings {
     decide_total: Duration,
 }
 
-fn drive<E: TickEngine>(
-    mut engine: E,
-    world: &DfzWorld,
-    cfg: &SpoofRunConfig,
-) -> (u64, u64, Timings) {
+fn drive(mut engine: IpdEngine, world: &DfzWorld, cfg: &SpoofRunConfig) -> (u64, u64, Timings) {
     let detector = SpoofDetector::new(
         RouteExpect::new(world, cfg.window_secs),
         SpoofTelemetry::default(),
     );
-    let mut publisher =
-        ServePublisher::with_config(cfg.shards.next_power_of_two(), ServeTelemetry::default());
+    let mut publisher = ServePublisher::new();
     let swap = publisher.swap();
     let mut reader = swap.reader();
-    let mut driver = BucketDriver::new(engine.t_secs(), cfg.snapshot_every_ticks);
+    let mut driver = BucketDriver::new(engine.params().t_secs, cfg.snapshot_every_ticks);
 
     let mut timings = Timings {
         per_verdict: [Vec::new(), Vec::new(), Vec::new()],
@@ -88,9 +83,9 @@ fn drive<E: TickEngine>(
         flows += 1;
         engine.ingest(&sf.flow);
     }
-    publisher.finished(engine.engine(), driver.clock());
+    publisher.finished(&engine, driver.clock());
     driver.finish(&mut engine, &mut out);
-    publisher.closed(engine.engine(), driver.clock());
+    publisher.closed(&engine, driver.clock());
     let epochs = swap.load().value.epoch();
     (flows, epochs, timings)
 }
@@ -106,7 +101,6 @@ fn main() {
     let tier = get("--tier").unwrap_or_else(|| "100k".to_string());
     let seed: u64 = get("--seed").map_or(42, |v| v.parse().expect("--seed"));
     let minutes: u64 = get("--minutes").map_or(30, |v| v.parse().expect("--minutes"));
-    let shards: usize = get("--shards").map_or(1, |v| v.parse().expect("--shards"));
     let out = get("--out").unwrap_or_else(|| "BENCH_spoof.json".to_string());
 
     let dfz = match tier.as_str() {
@@ -121,12 +115,11 @@ fn main() {
     let cfg = SpoofRunConfig {
         scenario: SpoofScenario::mixed(dfz),
         minutes,
-        shards,
         ..SpoofRunConfig::tier_100k(seed)
     };
     eprintln!(
         "[record_spoof] tier {tier}: {} IPv4 + {} IPv6 prefixes, {minutes} min at \
-         {} flows/min, shards {shards}",
+         {} flows/min",
         dfz.plan.v4_prefixes, dfz.plan.v6_prefixes, dfz.flows_per_minute
     );
 
@@ -134,15 +127,8 @@ fn main() {
     let world = DfzWorld::new(dfz);
     let params = cfg.engine_params();
     let judge_start = Instant::now();
-    let (flows, epochs, mut timings) = if shards <= 1 {
-        drive(IpdEngine::new(params).expect("valid params"), &world, &cfg)
-    } else {
-        drive(
-            ShardedEngine::new(params, shards).expect("valid params"),
-            &world,
-            &cfg,
-        )
-    };
+    let (flows, epochs, mut timings) =
+        drive(IpdEngine::new(params).expect("valid params"), &world, &cfg);
     let judge_secs = judge_start.elapsed().as_secs_f64();
     eprintln!("[record_spoof] {flows} flows judged, {epochs} epochs published");
 
@@ -159,7 +145,6 @@ fn main() {
     let _ = writeln!(j, "  \"tier\": \"{tier}\",");
     let _ = writeln!(j, "  \"seed\": {seed},");
     let _ = writeln!(j, "  \"minutes\": {minutes},");
-    let _ = writeln!(j, "  \"shards\": {shards},");
     let _ = writeln!(j, "  \"flows\": {flows},");
     let _ = writeln!(j, "  \"epochs\": {epochs},");
     let _ = writeln!(

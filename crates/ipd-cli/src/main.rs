@@ -4,7 +4,7 @@
 //! ipd-tool simulate --minutes 30 --flows-per-minute 20000 --seed 42 \
 //!          --out trace.ipdt [--bgp-dump rib.txt]
 //! ipd-tool run      --trace trace.ipdt [--q 0.95] [--cidr-max 28] \
-//!          [--factor <auto>] [--shards K] [--table3 out.txt]
+//!          [--factor <auto>] [--table3 out.txt]
 //! ipd-tool lookup   --trace trace.ipdt --addr 22.1.2.3 [--addr ...]
 //! ipd-tool info     --trace trace.ipdt
 //! ```
@@ -30,9 +30,9 @@ use args::{ArgError, Args};
 use ipd::output::default_ingress_format;
 use ipd::pipeline::{
     run_offline_instrumented, run_offline_with, BucketClock, IpdPipeline, NoopHook, PipelineConfig,
-    PipelineHook, PipelineOutput, ShardedPipeline, TickEngine,
+    PipelineHook, PipelineOutput,
 };
-use ipd::{IpdEngine, IpdParams, ShardedEngine, Snapshot};
+use ipd::{IpdEngine, IpdParams, Snapshot};
 use ipd_bgp::write_dump;
 use ipd_hist::{EpochImage, HistConfig, HistPublisher, HistStore, HistTelemetry};
 use ipd_lpm::Addr;
@@ -55,7 +55,7 @@ use std::sync::Arc;
 const USAGE: &str =
     "usage: ipd-tool <simulate|run|lookup|info|checkpoint|restore|serve|query|spoof|hist> [--options]
   simulate   --out FILE [--minutes N] [--flows-per-minute N] [--seed N] [--bgp-dump FILE]
-  run        --trace FILE [--q Q] [--cidr-max N] [--factor F] [--shards K] [--table3 FILE]
+  run        --trace FILE [--q Q] [--cidr-max N] [--factor F] [--table3 FILE]
              [--checkpoint-dir DIR] [--checkpoint-every BUCKETS] [--retain N] [--limit N]
              [--metrics-addr HOST:PORT] [--metrics-dump]
   run        --scale dfz|100k|10k [--minutes N] [--seed N] [--prefixes N] [--v6-prefixes N]
@@ -65,21 +65,21 @@ const USAGE: &str =
   lookup     --trace FILE --addr A [--addr B ...]   (repeat via comma list)
   info       --trace FILE
   checkpoint --dir DIR                              (inspect a state directory)
-  restore    --dir DIR [--trace FILE] [--shards K] [--table3 FILE]
-  serve      --trace FILE | --from-checkpoint DIR   [--addr HOST:PORT] [--shards K]
+  restore    --dir DIR [--trace FILE] [--table3 FILE]
+  serve      --trace FILE | --from-checkpoint DIR   [--addr HOST:PORT]
              [--linger-secs S] [--port-file FILE] [--metrics-addr HOST:PORT]
              [--hist-dir DIR]       (record every epoch; answer QueryAt/DiffRange)
   query      --server HOST:PORT [--addr A,B,...] [--info] [--dump]
              [--at-epoch N] [--diff FROM,TO] [--wait-epoch N]
   top        --metrics-addr HOST:PORT [--interval-secs S] [--once]
              (live terminal view over a process's /statusz endpoint)
-  spoof      --scale dfz|100k|10k [scale knobs] [--shards K] [--window-secs S]
+  spoof      --scale dfz|100k|10k [scale knobs] [--window-secs S]
              [--spoof-share F] [--shift-share F] [--shift-lag-secs S]
              [--server HOST:PORT [--pool N] | --from-checkpoint DIR]
              (judge a labeled scenario stream: offline deployment loop by
               default, or against a live server / a frozen checkpointed map)
   hist record   --dir DIR (--trace FILE | --scale dfz|100k|10k [scale knobs])
-                [--shards K] [--keyframe-every K]
+                [--keyframe-every K]
   hist info     --dir DIR
   hist query-at --dir DIR (--epoch N | --at-ts T) [--addr A,B,...]
   hist diff     --dir DIR --from N --to N [--limit N]
@@ -246,17 +246,15 @@ fn engine_over(
     telemetry: &Telemetry,
 ) -> Result<(IpdEngine, Option<Snapshot>), Box<dyn std::error::Error>> {
     let (params, rate_per_min) = trace_params(args, flows)?;
-    let shards: usize = args.get_or("shards", 1)?;
     let limit: usize = args.get_or("limit", flows.len())?;
     let flows = &flows[..limit.min(flows.len())];
     eprintln!(
-        "running IPD over {} flows (~{:.0} flows/min), q={}, cidr_max=/{}, n_cidr factor={:.4}, shards={}",
+        "running IPD over {} flows (~{:.0} flows/min), q={}, cidr_max=/{}, n_cidr factor={:.4}",
         flows.len(),
         rate_per_min,
         params.q,
         params.cidr_max_v4,
         params.ncidr_factor_v4,
-        shards
     );
     let mut last_snapshot = None;
     let mut capture = |o: PipelineOutput| {
@@ -264,38 +262,17 @@ fn engine_over(
             last_snapshot = Some(s);
         }
     };
-    // The shard count only changes how many cores stage 1/2 run on — the
-    // results are bit-for-bit identical at any K (see the shard module docs).
-    // K != 1 goes through ShardedEngine so invalid counts (0, non-powers of
-    // two, > 256) are rejected by its validation.
-    let engine = if shards != 1 {
-        let mut sharded = ShardedEngine::new(params, shards)?;
-        sharded.attach_telemetry(telemetry);
-        let mut hook = make_hook(args, sharded.engine(), telemetry)?;
-        run_offline_instrumented(
-            &mut sharded,
-            flows.iter().cloned(),
-            SNAPSHOT_EVERY_TICKS,
-            None,
-            hook.as_mut(),
-            telemetry,
-            &mut capture,
-        );
-        sharded.into_engine()
-    } else {
-        let mut engine = IpdEngine::new(params)?;
-        let mut hook = make_hook(args, &engine, telemetry)?;
-        run_offline_instrumented(
-            &mut engine,
-            flows.iter().cloned(),
-            SNAPSHOT_EVERY_TICKS,
-            None,
-            hook.as_mut(),
-            telemetry,
-            &mut capture,
-        );
-        engine
-    };
+    let mut engine = IpdEngine::new(params)?;
+    let mut hook = make_hook(args, &engine, telemetry)?;
+    run_offline_instrumented(
+        &mut engine,
+        flows.iter().cloned(),
+        SNAPSHOT_EVERY_TICKS,
+        None,
+        hook.as_mut(),
+        telemetry,
+        &mut capture,
+    );
     Ok((engine, last_snapshot))
 }
 
@@ -425,7 +402,6 @@ fn run_scale(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ncidr_factor_v6: (rate * 1.5e-11).max(1e-9),
         ..IpdParams::default()
     };
-    let shards: usize = args.get_or("shards", 1)?;
     eprintln!(
         "scale world: {} IPv4 + {} IPv6 prefixes, {} routers, {} links, {} ASes \
          ({} KiB resident)",
@@ -438,7 +414,7 @@ fn run_scale(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     );
     eprintln!(
         "streaming {minutes} minutes at nominal {} flows/min (flap {:.0}% ~{}s, \
-         up/down {:.0}% ~{}s/{}s), q={}, n_cidr factor={:.4}, shards={shards}",
+         up/down {:.0}% ~{}s/{}s), q={}, n_cidr factor={:.4}",
         cfg.flows_per_minute,
         cfg.churn.flap_fraction * 100.0,
         cfg.churn.flap_mean_secs,
@@ -454,35 +430,17 @@ fn run_scale(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             last_snapshot = Some(s);
         }
     };
-    let flows = world.flows(minutes).map(|f| f.flow);
-    let engine = if shards != 1 {
-        let mut sharded = ShardedEngine::new(params, shards)?;
-        sharded.attach_telemetry(&telemetry);
-        let mut hook = make_hook(args, sharded.engine(), &telemetry)?;
-        run_offline_instrumented(
-            &mut sharded,
-            flows,
-            SNAPSHOT_EVERY_TICKS,
-            None,
-            hook.as_mut(),
-            &telemetry,
-            &mut capture,
-        );
-        sharded.into_engine()
-    } else {
-        let mut engine = IpdEngine::new(params)?;
-        let mut hook = make_hook(args, &engine, &telemetry)?;
-        run_offline_instrumented(
-            &mut engine,
-            flows,
-            SNAPSHOT_EVERY_TICKS,
-            None,
-            hook.as_mut(),
-            &telemetry,
-            &mut capture,
-        );
-        engine
-    };
+    let mut engine = IpdEngine::new(params)?;
+    let mut hook = make_hook(args, &engine, &telemetry)?;
+    run_offline_instrumented(
+        &mut engine,
+        world.flows(minutes).map(|f| f.flow),
+        SNAPSHOT_EVERY_TICKS,
+        None,
+        hook.as_mut(),
+        &telemetry,
+        &mut capture,
+    );
     let snapshot = last_snapshot.ok_or("scale stream produced no snapshots (zero minutes?)")?;
     report(args, &engine, snapshot)?;
     if args.flag("metrics-dump") {
@@ -589,31 +547,15 @@ fn restore(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             last_snapshot = Some(s);
         }
     };
-    let shards: usize = args.get_or("shards", 1)?;
-    let engine = if shards != 1 {
-        // A checkpoint is shard-count-free: restore at any width.
-        let mut sharded = ShardedEngine::from_engine(restored.engine, shards)?;
-        run_offline_with(
-            &mut sharded,
-            rest,
-            SNAPSHOT_EVERY_TICKS,
-            Some(restored.clock),
-            &mut NoopHook,
-            &mut capture,
-        );
-        sharded.into_engine()
-    } else {
-        let mut engine = restored.engine;
-        run_offline_with(
-            &mut engine,
-            rest,
-            SNAPSHOT_EVERY_TICKS,
-            Some(restored.clock),
-            &mut NoopHook,
-            &mut capture,
-        );
-        engine
-    };
+    let mut engine = restored.engine;
+    run_offline_with(
+        &mut engine,
+        rest,
+        SNAPSHOT_EVERY_TICKS,
+        Some(restored.clock),
+        &mut NoopHook,
+        &mut capture,
+    );
     let snapshot = last_snapshot.ok_or("restored state produced no snapshot (no flows ever?)")?;
     report(args, &engine, snapshot)
 }
@@ -626,10 +568,7 @@ fn restore(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 fn serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let (telemetry, metrics_server, hub) = metrics_setup(args)?;
     let serve_metrics = ServeTelemetry::register(&telemetry);
-    // One live-store region per engine shard: incremental publication then
-    // parallelises along the same axis as ingest.
-    let shards: usize = args.get_or("shards", 1)?;
-    let mut publisher = ServePublisher::with_config(shards, serve_metrics.clone());
+    let mut publisher = ServePublisher::with_metrics(serve_metrics.clone());
     let swap = publisher.swap();
     // --hist-dir: every published epoch is also appended to a longitudinal
     // store, and the server answers QueryAt/DiffRange out of it.
@@ -755,12 +694,11 @@ fn serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let flows = load_trace(args.require("trace")?)?;
         let (params, rate) = trace_params(args, &flows)?;
         eprintln!(
-            "serve: streaming {} flows (~{rate:.0} flows/min) through the pipeline, shards={shards}",
+            "serve: streaming {} flows (~{rate:.0} flows/min) through the pipeline",
             flows.len()
         );
         let config = PipelineConfig {
             params,
-            shards,
             snapshot_every_ticks: SNAPSHOT_EVERY_TICKS,
             telemetry: telemetry.clone(),
             ..PipelineConfig::default()
@@ -778,33 +716,18 @@ fn serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         };
         // The bounded output channel must be drained or the engine stalls
         // mid-stream; serve has no other use for the tick reports.
-        let classified = if shards != 1 {
-            let pipeline = ShardedPipeline::spawn_hooked(config, hook)?;
-            let rx = pipeline.output().clone();
-            let drainer = std::thread::spawn(move || rx.iter().count());
-            let tx = pipeline.input();
-            for chunk in flows.chunks(4096) {
-                tx.send(chunk.to_vec())
-                    .map_err(|_| "pipeline input closed early")?;
-            }
-            drop(tx);
-            let (engine, _hook, _leftover) = pipeline.finish_hooked();
-            drainer.join().expect("drainer");
-            engine.into_engine().classified_count()
-        } else {
-            let pipeline = IpdPipeline::spawn_hooked(config, hook)?;
-            let rx = pipeline.output().clone();
-            let drainer = std::thread::spawn(move || rx.iter().count());
-            let tx = pipeline.input();
-            for chunk in flows.chunks(4096) {
-                tx.send(chunk.to_vec())
-                    .map_err(|_| "pipeline input closed early")?;
-            }
-            drop(tx);
-            let (engine, _hook, _leftover) = pipeline.finish_hooked();
-            drainer.join().expect("drainer");
-            engine.classified_count()
-        };
+        let pipeline = IpdPipeline::spawn_hooked(config, hook)?;
+        let rx = pipeline.output().clone();
+        let drainer = std::thread::spawn(move || rx.iter().count());
+        let tx = pipeline.input();
+        for chunk in flows.chunks(4096) {
+            tx.send(chunk.to_vec())
+                .map_err(|_| "pipeline input closed early")?;
+        }
+        drop(tx);
+        let (engine, _hook, _leftover) = pipeline.finish_hooked();
+        drainer.join().expect("drainer");
+        let classified = engine.classified_count();
         eprintln!(
             "serve: stream complete at epoch {}, {classified} classified ranges",
             swap.load().value.epoch()
@@ -1170,14 +1093,10 @@ fn spoof(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let cfg = SpoofRunConfig {
             scenario,
             minutes,
-            shards: args.get_or("shards", 1)?,
             window_secs,
             snapshot_every_ticks: SNAPSHOT_EVERY_TICKS,
         };
-        eprintln!(
-            "spoof: offline deployment loop, shards={}, publishing every bucket close",
-            cfg.shards
-        );
+        eprintln!("spoof: offline deployment loop, publishing every bucket close");
         run_offline(&cfg, &SpoofTelemetry::default())
     };
     print_spoof_report(&report);
@@ -1327,15 +1246,18 @@ fn hist_record(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let store = HistStore::open_with(dir, cfg, HistTelemetry::default())?;
     let first = store.last_epoch() + 1;
     let mut hook = HistPublisher::new(store);
-    let shards: usize = args.get_or("shards", 1)?;
-
-    fn drive<E: TickEngine>(
-        mut engine: E,
-        flows: impl IntoIterator<Item = FlowRecord>,
-        hook: &mut HistPublisher,
-    ) {
-        run_offline_with(&mut engine, flows, SNAPSHOT_EVERY_TICKS, None, hook, |_| {});
-    }
+    let mut drive = |params: IpdParams, flows: &mut dyn Iterator<Item = FlowRecord>| {
+        let mut engine = IpdEngine::new(params)?;
+        run_offline_with(
+            &mut engine,
+            flows,
+            SNAPSHOT_EVERY_TICKS,
+            None,
+            &mut hook,
+            |_| {},
+        );
+        Ok::<_, ipd::ParamError>(())
+    };
 
     if args.get("scale").is_some() {
         let (cfg, minutes) = dfz_config(args)?;
@@ -1352,12 +1274,7 @@ fn hist_record(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             "hist record: streaming {minutes} minutes of the {}-prefix substrate into {dir}",
             cfg.plan.v4_prefixes
         );
-        let flows = world.flows(minutes).map(|f| f.flow);
-        if shards != 1 {
-            drive(ShardedEngine::new(params, shards)?, flows, &mut hook);
-        } else {
-            drive(IpdEngine::new(params)?, flows, &mut hook);
-        }
+        drive(params, &mut world.flows(minutes).map(|f| f.flow))?;
     } else {
         let flows = load_trace(args.require("trace")?)?;
         let (params, rate) = trace_params(args, &flows)?;
@@ -1365,11 +1282,7 @@ fn hist_record(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             "hist record: replaying {} flows (~{rate:.0} flows/min) into {dir}",
             flows.len()
         );
-        if shards != 1 {
-            drive(ShardedEngine::new(params, shards)?, flows, &mut hook);
-        } else {
-            drive(IpdEngine::new(params)?, flows, &mut hook);
-        }
+        drive(params, &mut flows.into_iter())?;
     }
     if let Some(e) = hook.error() {
         return Err(format!("recording failed: {e}").into());
@@ -1624,41 +1537,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_unsharded_output() {
-        let trace = tmp("sharded.ipdt");
-        run_cli(argv(&[
-            "simulate",
-            "--minutes",
-            "6",
-            "--flows-per-minute",
-            "3000",
-            "--seed",
-            "11",
-            "--out",
-            &trace,
-        ]))
-        .expect("simulate");
-
-        let t3_one = tmp("sharded-k1.txt");
-        let t3_four = tmp("sharded-k4.txt");
-        run_cli(argv(&["run", "--trace", &trace, "--table3", &t3_one])).expect("run K=1");
-        run_cli(argv(&[
-            "run", "--trace", &trace, "--shards", "4", "--table3", &t3_four,
-        ]))
-        .expect("run K=4");
-        let one = std::fs::read_to_string(&t3_one).expect("K=1 output");
-        let four = std::fs::read_to_string(&t3_four).expect("K=4 output");
-        assert!(!one.is_empty());
-        assert_eq!(
-            one, four,
-            "--shards must not change the classification output"
-        );
-
-        let bad = run_cli(argv(&["run", "--trace", &trace, "--shards", "3"]));
-        assert!(bad.is_err(), "non-power-of-two shard counts are rejected");
-    }
-
-    #[test]
     fn crashed_checkpointed_run_restores_to_identical_output() {
         let trace = tmp("ckpt.ipdt");
         run_cli(argv(&[
@@ -1703,7 +1581,7 @@ mod tests {
         run_cli(argv(&["checkpoint", "--dir", &dir])).expect("checkpoint inspect");
 
         // Restore + finish the stream: output must match the reference
-        // byte for byte, plain and at a different shard width.
+        // byte for byte.
         let t3_resumed = tmp("ckpt-resumed.txt");
         run_cli(argv(&[
             "restore",
@@ -1722,22 +1600,6 @@ mod tests {
             full, resumed,
             "restore must reproduce the uninterrupted run"
         );
-
-        let t3_sharded = tmp("ckpt-resumed-k4.txt");
-        run_cli(argv(&[
-            "restore",
-            "--dir",
-            &dir,
-            "--trace",
-            &trace,
-            "--shards",
-            "4",
-            "--table3",
-            &t3_sharded,
-        ]))
-        .expect("restore sharded");
-        let sharded = std::fs::read_to_string(&t3_sharded).expect("sharded output");
-        assert_eq!(full, sharded, "restore at a different shard width diverged");
 
         // Restore without a trace still closes out the restored state.
         run_cli(argv(&["restore", "--dir", &dir])).expect("restore without trace");
@@ -2287,7 +2149,7 @@ mod tests {
         ]))
         .expect("run --scale builds the checkpointed map");
 
-        // Offline deployment loop, sharded, exits cleanly.
+        // Offline deployment loop exits cleanly.
         run_cli(argv(&[
             "spoof",
             "--scale",
@@ -2298,8 +2160,6 @@ mod tests {
             "3000",
             "--seed",
             "11",
-            "--shards",
-            "2",
         ]))
         .expect("spoof offline");
 

@@ -8,7 +8,7 @@ use crate::ingress::{IngressRegistry, LogicalIngress};
 use crate::output::{IpdRangeRecord, ServedRow, Snapshot};
 use crate::params::{IpdParams, ParamError};
 use crate::range::RangeState;
-use crate::trie::{Node, PreparedFlow, TickCtx};
+use crate::trie::{PreparedFlow, TickCtx, Trie};
 
 /// What happened during one stage-2 cycle.
 #[derive(Debug, Clone, Default)]
@@ -84,23 +84,6 @@ impl StateCounts {
     }
 }
 
-/// Intern, mask and weigh one flow for the trie walk; interning in stream
-/// order keeps `IngressId` assignment identical on every ingest path.
-pub(crate) fn prepare(
-    params: &IpdParams,
-    registry: &mut IngressRegistry,
-    flow: &FlowRecord,
-) -> (Af, PreparedFlow) {
-    let af = flow.af();
-    let prepared = PreparedFlow {
-        bits: flow.src.masked(params.cidr_max(af)).bits(),
-        ts: flow.ts,
-        weight: params.count_mode.weight(flow.bytes),
-        id: registry.intern(IngressPoint::new(flow.router, flow.input_if)),
-    };
-    (af, prepared)
-}
-
 /// The IPD engine. See the crate docs for the algorithm description.
 ///
 /// Deterministic and I/O-free: `ingest` and `tick` are the only mutations,
@@ -109,8 +92,8 @@ pub(crate) fn prepare(
 #[derive(Debug, Clone)]
 pub struct IpdEngine {
     pub(crate) params: IpdParams,
-    pub(crate) root_v4: Node,
-    pub(crate) root_v6: Node,
+    pub(crate) v4: Trie,
+    pub(crate) v6: Trie,
     pub(crate) registry: IngressRegistry,
     pub(crate) stats: EngineStats,
 }
@@ -121,8 +104,8 @@ impl IpdEngine {
         params.validate()?;
         Ok(IpdEngine {
             params,
-            root_v4: Node::empty(),
-            root_v6: Node::empty(),
+            v4: Trie::new(Af::V4),
+            v6: Trie::new(Af::V6),
             registry: IngressRegistry::new(),
             stats: EngineStats::default(),
         })
@@ -159,37 +142,44 @@ impl IpdEngine {
     /// sources that never materialize full records). `weight` is what the
     /// sample adds to its range: 1 per flow, or its byte count.
     pub fn ingest_parts(&mut self, ts: u64, src: Addr, ingress: IngressPoint, weight: u64) {
-        let af = src.af();
-        let flow = PreparedFlow {
-            bits: src.masked(self.params.cidr_max(af)).bits(),
-            ts,
-            weight,
-            id: self.registry.intern(ingress),
+        let flow = self.prepare(ts, src, ingress, weight);
+        let trie = match src.af() {
+            Af::V4 => &mut self.v4,
+            Af::V6 => &mut self.v6,
         };
-        let root = match af {
-            Af::V4 => &mut self.root_v4,
-            Af::V6 => &mut self.root_v6,
-        };
-        root.ingest_from(0, af.width(), &flow);
+        trie.ingest_run(std::slice::from_ref(&flow));
         self.stats.flows_ingested += 1;
     }
 
     /// Stage 1 over a batch, in stream order: every ingress is interned
     /// first, in stream order, then each family's flows go down its trie
-    /// through the grouped descent (`Node::ingest_run`). The result is
+    /// through the same grouped walk a single flow takes. The result is
     /// bit for bit the state [`IpdEngine::ingest`] produces flow by flow.
     pub fn ingest_batch(&mut self, flows: &[FlowRecord]) {
         let (mut v4, mut v6) = (Vec::new(), Vec::new());
         for flow in flows {
-            let (af, prepared) = prepare(&self.params, &mut self.registry, flow);
-            match af {
+            let ingress = IngressPoint::new(flow.router, flow.input_if);
+            let weight = self.params.count_mode.weight(flow.bytes);
+            let prepared = self.prepare(flow.ts, flow.src, ingress, weight);
+            match flow.af() {
                 Af::V4 => v4.push(prepared),
                 Af::V6 => v6.push(prepared),
             }
         }
-        self.root_v4.ingest_run(0, Af::V4.width(), &v4);
-        self.root_v6.ingest_run(0, Af::V6.width(), &v6);
+        self.v4.ingest_run(&v4);
+        self.v6.ingest_run(&v6);
         self.stats.flows_ingested += flows.len() as u64;
+    }
+
+    /// Intern, mask and weigh one sample for the trie walk; interning in
+    /// stream order keeps `IngressId` assignment identical on every path.
+    fn prepare(&mut self, ts: u64, src: Addr, ingress: IngressPoint, weight: u64) -> PreparedFlow {
+        PreparedFlow {
+            bits: src.masked(self.params.cidr_max(src.af())).bits(),
+            ts,
+            weight,
+            id: self.registry.intern(ingress),
+        }
     }
 
     /// Stage 2 (Algorithm 1, lines 5–19): sweep all ranges — expire, decay,
@@ -204,8 +194,8 @@ impl IpdEngine {
                 registry: &self.registry,
                 report: &mut report,
             };
-            self.root_v4.tick(Prefix::root(Af::V4), &mut ctx);
-            self.root_v6.tick(Prefix::root(Af::V6), &mut ctx);
+            self.v4.tick(&mut ctx);
+            self.v6.tick(&mut ctx);
         }
         self.stats.ticks += 1;
         self.stats.splits += report.splits as u64;
@@ -239,9 +229,9 @@ impl IpdEngine {
         self.state_counts().state_bytes()
     }
 
-    /// Every state size above from one walk over both tries.
+    /// Every state size above from one scan of both leaf arenas.
     pub(crate) fn state_counts(&self) -> StateCounts {
-        let (a, b) = (self.root_v4.counts(), self.root_v6.counts());
+        let (a, b) = (self.v4.counts(), self.v6.counts());
         StateCounts {
             ranges: a.0 + b.0,
             classified: a.1 + b.1,
@@ -254,8 +244,8 @@ impl IpdEngine {
     pub fn dump_state(&self) -> crate::persist::EngineStateDump {
         let mut v4 = Vec::new();
         let mut v6 = Vec::new();
-        self.root_v4.dump_into(&mut v4);
-        self.root_v6.dump_into(&mut v6);
+        self.v4.dump_into(&mut v4);
+        self.v6.dump_into(&mut v6);
         crate::persist::EngineStateDump {
             params: self.params.clone(),
             ingresses: self.registry.points().to_vec(),
@@ -266,30 +256,19 @@ impl IpdEngine {
     }
 
     /// Rebuild an engine from a [`dump`](IpdEngine::dump_state). Validates
-    /// params, the intern table, and both trie preorders.
+    /// params, the intern table, and both trie preorders, shapes included.
     pub fn restore_state(
         dump: crate::persist::EngineStateDump,
     ) -> Result<Self, crate::persist::RestoreError> {
         dump.params.validate()?;
         let registry = IngressRegistry::from_points(dump.ingresses)?;
         let n = registry.len() as u32;
-        let rebuild = |nodes: &[crate::persist::TrieNodeDump], af: Af| {
-            let mut pos = 0;
-            let root = Node::from_dump(nodes, &mut pos, n, af, af.width())?;
-            if pos != nodes.len() {
-                return Err(crate::persist::RestoreError::TrailingNodes(
-                    af,
-                    nodes.len() - pos,
-                ));
-            }
-            Ok(root)
-        };
-        let root_v4 = rebuild(&dump.v4, Af::V4)?;
-        let root_v6 = rebuild(&dump.v6, Af::V6)?;
+        let v4 = Trie::from_dump(&dump.v4, Af::V4, dump.params.cidr_max_v4, n)?;
+        let v6 = Trie::from_dump(&dump.v6, Af::V6, dump.params.cidr_max_v6, n)?;
         Ok(IpdEngine {
             params: dump.params,
-            root_v4,
-            root_v6,
+            v4,
+            v6,
             registry,
             stats: dump.stats,
         })
@@ -308,8 +287,8 @@ impl IpdEngine {
                 &self.registry,
             ));
         };
-        self.root_v4.visit_leaves(Prefix::root(Af::V4), &mut emit);
-        self.root_v6.visit_leaves(Prefix::root(Af::V6), &mut emit);
+        self.v4.visit_leaves(&mut emit);
+        self.v6.visit_leaves(&mut emit);
         // Root leaves with no data are noise, not ranges.
         records.retain(|r| r.sample_count > 0.0 || r.classified);
         Snapshot { ts, records }
@@ -338,8 +317,8 @@ impl IpdEngine {
                 rows.push((prefix, c.ingress.clone(), c.member_share()));
             }
         };
-        self.root_v4.visit_leaves(Prefix::root(Af::V4), &mut emit);
-        self.root_v6.visit_leaves(Prefix::root(Af::V6), &mut emit);
+        self.v4.visit_leaves(&mut emit);
+        self.v6.visit_leaves(&mut emit);
         rows
     }
 }

@@ -28,16 +28,14 @@
 //! * [`IpdParams`] — all knobs of Table 1 with the paper's defaults.
 //! * [`IpdEngine`] — the deterministic core: [`IpdEngine::ingest`] (stage 1)
 //!   and [`IpdEngine::tick`] (stage 2). No clocks, no threads, no I/O —
-//!   drive it with data timestamps and it is fully reproducible.
+//!   drive it with data timestamps and it is fully reproducible. Each
+//!   family's trie is one flat arena of `u32`-linked nodes, and every
+//!   stage-1 walk starts from a 16-bit stride table.
 //! * [`output`] — per-tick snapshots in the shape of the paper's raw output
 //!   (Table 3), plus LPM-table export for validation.
 //! * [`pipeline`] — the deployment shape (§5.7): parallel reader threads
-//!   feeding the engine over channels, ticks at time-bucket boundaries.
-//! * [`ShardedEngine`] — the same engine on K cores: the address space is
-//!   partitioned by the top shard-key bits, stage 1 and stage 2 run on
-//!   scoped threads per shard, and the results are bit-for-bit identical to
-//!   the single-threaded engine for every K (see the `shard` module docs
-//!   for the determinism contract).
+//!   feeding the one engine thread over channels, ticks at time-bucket
+//!   boundaries.
 //!
 //! ## Quick start
 //!
@@ -73,7 +71,6 @@ mod params;
 pub mod persist;
 pub mod pipeline;
 mod range;
-mod shard;
 pub mod telemetry;
 mod trie;
 
@@ -81,5 +78,4 @@ pub use engine::{EngineStats, IpdEngine, TickReport};
 pub use ingress::{IngressId, IngressRegistry, LogicalIngress};
 pub use output::{IpdRangeRecord, PrefixChange, ServedRow, Snapshot, SnapshotDiff, StoreDelta};
 pub use params::{CountMode, IpdParams, ParamError};
-pub use shard::{ShardedEngine, MAX_SHARDS};
 pub use telemetry::CoreTelemetry;

@@ -108,8 +108,6 @@ pub enum ParamError {
     QOutOfRange(f64),
     /// Non-positive factor, time bucket, or expiry.
     NonPositive(&'static str),
-    /// Shard count for the sharded engine is not a power of two in 1..=256.
-    BadShardCount(usize),
 }
 
 impl fmt::Display for ParamError {
@@ -122,9 +120,6 @@ impl fmt::Display for ParamError {
                 write!(f, "q = {q} must be in (0.5, 1.0]: q <= 0.5 is ambiguous")
             }
             ParamError::NonPositive(what) => write!(f, "{what} must be positive"),
-            ParamError::BadShardCount(n) => {
-                write!(f, "shard count {n} must be a power of two in 1..=256")
-            }
         }
     }
 }

@@ -8,13 +8,14 @@
 //! *canonical*: every map is emitted sorted by key, so the same engine state
 //! always produces the same dump regardless of `HashMap` iteration order.
 //!
-//! The restore contract mirrors the sharding contract (`shard` module docs):
-//! in both count modes a restored engine is bit-for-bit equivalent to the
+//! In both count modes a restored engine is bit-for-bit equivalent to the
 //! original — continuing an interrupted run after
 //! [`IpdEngine::restore_state`] yields `Snapshot::digest()`s identical to an
 //! uninterrupted run. Per-IP weights travel as `f64` but are integers in
 //! the engine, so restore rejects any that is not one (and every other
-//! count the engine cannot hold: see [`RestoreError::BadCounts`]).
+//! count the engine cannot hold: see [`RestoreError::BadCounts`]), and it
+//! rejects every trie shape the engine cannot build
+//! ([`RestoreError::ImpossibleShape`]).
 
 use ipd_lpm::Af;
 use ipd_topology::IngressPoint;
@@ -93,8 +94,10 @@ pub enum RestoreError {
     TruncatedTrie(Af),
     /// A preorder walk finished with nodes left over.
     TrailingNodes(Af, usize),
-    /// The trie nests deeper than the address family allows.
-    TooDeep(Af),
+    /// The trie has a shape the engine never builds: an internal node at
+    /// or below `cidr_max`, or an IP entry that is not masked to
+    /// `cidr_max` or lies outside its leaf's range.
+    ImpossibleShape(Af, &'static str),
     /// A leaf holds counts the engine cannot: a per-IP weight that is not
     /// a non-negative integer, an IP entry without counts, an IP or an
     /// ingress listed twice, a range whose weights overflow 64 bits, or a
@@ -114,8 +117,9 @@ impl std::fmt::Display for RestoreError {
             RestoreError::TrailingNodes(af, n) => {
                 write!(f, "{af:?} trie preorder has {n} trailing nodes")
             }
-            RestoreError::TooDeep(af) => write!(f, "{af:?} trie deeper than the address width"),
-            RestoreError::BadCounts(af, why) => write!(f, "{af:?} trie: {why}"),
+            RestoreError::ImpossibleShape(af, why) | RestoreError::BadCounts(af, why) => {
+                write!(f, "{af:?} trie: {why}")
+            }
         }
     }
 }
@@ -172,6 +176,57 @@ mod tests {
             Err(RestoreError::BadCounts(got, _)) => assert_eq!(got, af),
             other => panic!("expected BadCounts({af:?}), got {other:?}"),
         }
+    }
+
+    fn misshapen(d: EngineStateDump, af: Af) {
+        match IpdEngine::restore_state(d) {
+            Err(RestoreError::ImpossibleShape(got, _)) => assert_eq!(got, af),
+            other => panic!("expected ImpossibleShape({af:?}), got {other:?}"),
+        }
+    }
+
+    /// A monitored IPv4 leaf holding `ip`, alone in `0.0.0.0/1` beside an
+    /// empty `128.0.0.0/1`.
+    fn split_root_holding(ip: u128) -> EngineStateDump {
+        let mut d = dump();
+        d.v4 = vec![
+            TrieNodeDump::Internal,
+            TrieNodeDump::Monitoring(vec![IpEntryDump {
+                ip,
+                last_ts: 30,
+                counts: vec![(0, 1.0)],
+            }]),
+            TrieNodeDump::Monitoring(Vec::new()),
+        ];
+        d
+    }
+
+    #[test]
+    fn restore_rejects_an_ip_entry_outside_its_range() {
+        assert!(IpdEngine::restore_state(split_root_holding(0x0A00_0000)).is_ok());
+        misshapen(split_root_holding(0x8000_0000), Af::V4);
+    }
+
+    #[test]
+    fn restore_rejects_an_ip_entry_not_masked_to_cidr_max() {
+        let mut d = split_root_holding(0x0A00_0001);
+        d.params.cidr_max_v4 = 28;
+        misshapen(d, Af::V4);
+    }
+
+    #[test]
+    fn restore_rejects_an_internal_node_at_cidr_max() {
+        // 28 nested internal nodes down the left edge are as deep as
+        // splits go at cidr_max /28; a 29th is not.
+        let nested = |n: usize| {
+            let mut d = dump();
+            d.params.cidr_max_v4 = 28;
+            d.v4 = vec![TrieNodeDump::Internal; n];
+            d.v4.extend((0..=n).map(|_| TrieNodeDump::Monitoring(Vec::new())));
+            d
+        };
+        assert!(IpdEngine::restore_state(nested(28)).is_ok());
+        misshapen(nested(29), Af::V4);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! contract ("an online algorithm that must be completed by the end of each
 //! time bucket") while keeping every run bit-for-bit reproducible — the same
 //! input stream always produces the same outputs, whether driven offline
-//! ([`run_offline`]), through the threaded [`IpdPipeline`], or through the
-//! multi-core [`ShardedPipeline`] at any shard count.
+//! ([`run_offline`]) or through the threaded [`IpdPipeline`].
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -18,7 +17,6 @@ use ipd_telemetry::Telemetry;
 use crate::engine::{IpdEngine, TickReport};
 use crate::output::Snapshot;
 use crate::params::IpdParams;
-use crate::shard::ShardedEngine;
 use crate::telemetry::CoreTelemetry;
 
 /// Pipeline configuration.
@@ -31,9 +29,6 @@ pub struct PipelineConfig {
     /// Emit a full [`Snapshot`] every this many ticks. The paper's raw
     /// output is written at 5-minute granularity with t = 60 s, i.e. 5.
     pub snapshot_every_ticks: u32,
-    /// Shard count K for [`ShardedPipeline`] (power of two, 1..=256).
-    /// [`IpdPipeline`] ignores this and always runs single-threaded.
-    pub shards: usize,
     /// Metric registry the run reports into. The default is
     /// [`Telemetry::disabled`], whose handles are no-ops — telemetry is
     /// observational only and never changes engine output either way (the
@@ -48,83 +43,8 @@ impl Default for PipelineConfig {
             params: IpdParams::default(),
             channel_capacity: 1024,
             snapshot_every_ticks: 5,
-            shards: 1,
             telemetry: Telemetry::disabled(),
         }
-    }
-}
-
-/// The engine operations the drivers in this module need — implemented by
-/// the single-threaded [`IpdEngine`] and the multi-core
-/// [`ShardedEngine`], which produce bit-for-bit identical state for the
-/// same flow stream (see the `shard` module docs for the contract).
-pub trait TickEngine {
-    /// Stage-1 ingest of one flow.
-    fn ingest(&mut self, flow: &FlowRecord);
-    /// Stage-1 ingest of a batch of flows (in stream order), with the same
-    /// result as ingesting them one by one. Implementations may
-    /// parallelize.
-    fn ingest_batch(&mut self, flows: &[FlowRecord]);
-    /// Stage-2 sweep at data time `now`.
-    fn tick(&mut self, now: u64) -> TickReport;
-    /// Full state snapshot stamped `ts`.
-    fn snapshot(&self, ts: u64) -> Snapshot;
-    /// The configured stage-2 bucket length `t` in seconds.
-    fn t_secs(&self) -> u64;
-    /// The underlying logical engine (for state export — checkpoints are
-    /// execution-strategy-free, see [`crate::persist`]).
-    fn engine(&self) -> &IpdEngine;
-}
-
-impl TickEngine for IpdEngine {
-    fn ingest(&mut self, flow: &FlowRecord) {
-        IpdEngine::ingest(self, flow);
-    }
-
-    fn ingest_batch(&mut self, flows: &[FlowRecord]) {
-        IpdEngine::ingest_batch(self, flows);
-    }
-
-    fn tick(&mut self, now: u64) -> TickReport {
-        IpdEngine::tick(self, now)
-    }
-
-    fn snapshot(&self, ts: u64) -> Snapshot {
-        IpdEngine::snapshot(self, ts)
-    }
-
-    fn t_secs(&self) -> u64 {
-        self.params().t_secs
-    }
-
-    fn engine(&self) -> &IpdEngine {
-        self
-    }
-}
-
-impl TickEngine for ShardedEngine {
-    fn ingest(&mut self, flow: &FlowRecord) {
-        ShardedEngine::ingest(self, flow);
-    }
-
-    fn ingest_batch(&mut self, flows: &[FlowRecord]) {
-        ShardedEngine::ingest_batch(self, flows);
-    }
-
-    fn tick(&mut self, now: u64) -> TickReport {
-        ShardedEngine::tick(self, now)
-    }
-
-    fn snapshot(&self, ts: u64) -> Snapshot {
-        ShardedEngine::snapshot(self, ts)
-    }
-
-    fn t_secs(&self) -> u64 {
-        self.params().t_secs
-    }
-
-    fn engine(&self) -> &IpdEngine {
-        ShardedEngine::engine(self)
     }
 }
 
@@ -229,9 +149,9 @@ impl BucketDriver {
 
     /// Observe the timestamp of the next flow *before* ingesting it; fires
     /// any due ticks (one per crossed bucket, so decay sees every cycle).
-    pub fn observe<E: TickEngine, F: FnMut(PipelineOutput)>(
+    pub fn observe<F: FnMut(PipelineOutput)>(
         &mut self,
-        engine: &mut E,
+        engine: &mut IpdEngine,
         ts: u64,
         out: &mut F,
     ) {
@@ -240,9 +160,9 @@ impl BucketDriver {
 
     /// [`BucketDriver::observe`] with a [`PipelineHook`] that is told about
     /// boundary crossings (after their ticks fired).
-    pub fn observe_with<E: TickEngine, F: FnMut(PipelineOutput)>(
+    pub fn observe_with<F: FnMut(PipelineOutput)>(
         &mut self,
-        engine: &mut E,
+        engine: &mut IpdEngine,
         ts: u64,
         out: &mut F,
         hook: &mut dyn PipelineHook,
@@ -259,17 +179,16 @@ impl BucketDriver {
             self.fire(engine, (b + 1) * self.t, out);
         }
         self.current_bucket = Some(bucket);
-        hook.bucket_crossed(engine.engine(), self.clock());
+        hook.bucket_crossed(engine, self.clock());
     }
 
     /// Observe *and ingest* a whole batch: due ticks still fire exactly at
     /// bucket boundaries inside the batch, while each maximal run of flows
-    /// between boundaries goes through the engine's (possibly parallel)
-    /// batch path. Per-flow, this is the same observe-then-ingest sequence
+    /// between boundaries goes through the engine's batch path. Per-flow, this is the same observe-then-ingest sequence
     /// [`run_offline`] performs.
-    pub fn ingest_batch<E: TickEngine, F: FnMut(PipelineOutput)>(
+    pub fn ingest_batch<F: FnMut(PipelineOutput)>(
         &mut self,
-        engine: &mut E,
+        engine: &mut IpdEngine,
         batch: &[FlowRecord],
         out: &mut F,
     ) {
@@ -281,9 +200,9 @@ impl BucketDriver {
     /// before it is ingested, so a boundary crossing mid-batch sees the
     /// preceding run applied and the following run not yet journaled —
     /// the same order the per-flow path produces.
-    pub fn ingest_batch_with<E: TickEngine, F: FnMut(PipelineOutput)>(
+    pub fn ingest_batch_with<F: FnMut(PipelineOutput)>(
         &mut self,
-        engine: &mut E,
+        engine: &mut IpdEngine,
         batch: &[FlowRecord],
         out: &mut F,
         hook: &mut dyn PipelineHook,
@@ -307,24 +226,19 @@ impl BucketDriver {
     }
 
     /// Fire the final tick and snapshot at end of stream.
-    pub fn finish<E: TickEngine, F: FnMut(PipelineOutput)>(&mut self, engine: &mut E, out: &mut F) {
+    pub fn finish<F: FnMut(PipelineOutput)>(&mut self, engine: &mut IpdEngine, out: &mut F) {
         if let Some(current) = self.current_bucket {
             let now = (current + 1) * self.t;
             let report = self.timed_tick(engine, now);
-            self.metrics.record_tick(&report, engine.engine(), now);
+            self.metrics.record_tick(&report, engine, now);
             out(PipelineOutput::Tick(report));
             out(PipelineOutput::Snapshot(engine.snapshot(now)));
         }
     }
 
-    fn fire<E: TickEngine, F: FnMut(PipelineOutput)>(
-        &mut self,
-        engine: &mut E,
-        now: u64,
-        out: &mut F,
-    ) {
+    fn fire<F: FnMut(PipelineOutput)>(&mut self, engine: &mut IpdEngine, now: u64, out: &mut F) {
         let report = self.timed_tick(engine, now);
-        self.metrics.record_tick(&report, engine.engine(), now);
+        self.metrics.record_tick(&report, engine, now);
         out(PipelineOutput::Tick(report));
         self.ticks_since_snapshot += 1;
         if self.ticks_since_snapshot >= self.snapshot_every {
@@ -336,7 +250,7 @@ impl BucketDriver {
     /// Run stage 2 under the tick-duration timer. A disabled histogram's
     /// timer never reads the clock, so the untelemetered path stays free of
     /// `Instant::now` calls.
-    fn timed_tick<E: TickEngine>(&self, engine: &mut E, now: u64) -> TickReport {
+    fn timed_tick(&self, engine: &mut IpdEngine, now: u64) -> TickReport {
         let _timer = self.metrics.tick_duration.start_timer();
         engine.tick(now)
     }
@@ -345,9 +259,8 @@ impl BucketDriver {
 /// Run IPD over an in-memory, time-ordered flow stream. Ticks fire at bucket
 /// boundaries; `on_output` receives every tick report and snapshot,
 /// including the final end-of-stream snapshot.
-pub fn run_offline<E, I, F>(engine: &mut E, flows: I, snapshot_every_ticks: u32, on_output: F)
+pub fn run_offline<I, F>(engine: &mut IpdEngine, flows: I, snapshot_every_ticks: u32, on_output: F)
 where
-    E: TickEngine,
     I: IntoIterator<Item = FlowRecord>,
     F: FnMut(PipelineOutput),
 {
@@ -365,20 +278,19 @@ where
 /// [`BucketClock`] (pass the clock a restore returned to resume an
 /// interrupted run mid-stream). The hook's
 /// [`finished`](PipelineHook::finished) fires before the final tick.
-pub fn run_offline_with<E, I, F>(
-    engine: &mut E,
+pub fn run_offline_with<I, F>(
+    engine: &mut IpdEngine,
     flows: I,
     snapshot_every_ticks: u32,
     clock: Option<BucketClock>,
     hook: &mut dyn PipelineHook,
     mut on_output: F,
 ) where
-    E: TickEngine,
     I: IntoIterator<Item = FlowRecord>,
     F: FnMut(PipelineOutput),
 {
     let mut driver = BucketDriver::with_clock(
-        engine.t_secs(),
+        engine.params().t_secs,
         snapshot_every_ticks,
         clock.unwrap_or_default(),
     );
@@ -387,9 +299,9 @@ pub fn run_offline_with<E, I, F>(
         hook.flows(std::slice::from_ref(&flow));
         engine.ingest(&flow);
     }
-    hook.finished(engine.engine(), driver.clock());
+    hook.finished(engine, driver.clock());
     driver.finish(engine, &mut on_output);
-    hook.closed(engine.engine(), driver.clock());
+    hook.closed(engine, driver.clock());
 }
 
 /// [`run_offline_with`] reporting into a [`Telemetry`] registry: flow and
@@ -397,8 +309,8 @@ pub fn run_offline_with<E, I, F>(
 /// disabled registry this is exactly [`run_offline_with`] (the handles are
 /// no-ops), and even with a live one the engine output is bit-for-bit
 /// unchanged — telemetry never feeds back.
-pub fn run_offline_instrumented<E, I, F>(
-    engine: &mut E,
+pub fn run_offline_instrumented<I, F>(
+    engine: &mut IpdEngine,
     flows: I,
     snapshot_every_ticks: u32,
     clock: Option<BucketClock>,
@@ -406,13 +318,12 @@ pub fn run_offline_instrumented<E, I, F>(
     telemetry: &Telemetry,
     mut on_output: F,
 ) where
-    E: TickEngine,
     I: IntoIterator<Item = FlowRecord>,
     F: FnMut(PipelineOutput),
 {
     let metrics = CoreTelemetry::register(telemetry);
     let mut driver = BucketDriver::with_clock(
-        engine.t_secs(),
+        engine.params().t_secs,
         snapshot_every_ticks,
         clock.unwrap_or_default(),
     )
@@ -424,41 +335,9 @@ pub fn run_offline_instrumented<E, I, F>(
         metrics.flows.inc();
         metrics.ingest_watermark.record(flow.ts);
     }
-    hook.finished(engine.engine(), driver.clock());
+    hook.finished(engine, driver.clock());
     driver.finish(engine, &mut on_output);
-    hook.closed(engine.engine(), driver.clock());
-}
-
-/// Wind-down drain shared by both pipelines' `finish`.
-///
-/// The output channel is bounded, so an engine thread flushing its final
-/// ticks can be parked mid-`send`; *someone* must keep consuming or the
-/// join deadlocks. Who that someone is depends on whether the caller ever
-/// took the output receiver:
-///
-/// * `output_taken` — the caller owns consumption (every such caller must
-///   drain until the channel disconnects, which is also what unparks the
-///   engine). `finish` only joins and reads nothing: a second consumer on
-///   the same channel would take some of the last outputs and hand them
-///   back out of order with the caller's. The caller's consumer sees the
-///   whole stream in order, and `leftover` is empty.
-/// * not taken — `finish` is the sole consumer: it blocking-drains until
-///   the engine thread hangs up, and `leftover` is the complete output
-///   stream in order. This is what makes a fire-and-finish caller (no
-///   drainer anywhere) deadlock-free.
-fn drain_while_finishing<T, O>(
-    output: &Receiver<O>,
-    handle: std::thread::JoinHandle<T>,
-    output_taken: bool,
-) -> (T, Vec<O>) {
-    let leftover = if output_taken {
-        Vec::new()
-    } else {
-        // Sole consumer: ends when the engine thread drops its sender.
-        output.iter().collect()
-    };
-    let result = handle.join().expect("engine thread never panics");
-    (result, leftover)
+    hook.closed(engine, driver.clock());
 }
 
 /// Feed a flow source — typically a streaming generator that never
@@ -589,109 +468,20 @@ impl IpdPipeline {
     /// [`finished`](PipelineHook::finished) callback ran).
     pub fn finish_hooked(self) -> (IpdEngine, Box<dyn PipelineHook>, Vec<PipelineOutput>) {
         drop(self.input);
-        let taken = self.output_taken.load(std::sync::atomic::Ordering::Relaxed);
-        let ((engine, hook), leftover) = drain_while_finishing(&self.output, self.handle, taken);
-        (engine, hook, leftover)
-    }
-}
-
-/// Handle to a running multi-core pipeline: like [`IpdPipeline`], but the
-/// engine stage is a [`ShardedEngine`] with `config.shards` = K.
-///
-/// One coordinator thread owns the [`BucketDriver`] — data-time tick
-/// semantics are global, exactly as in the single-threaded pipeline — and
-/// routes every same-bucket run of each incoming batch through
-/// [`ShardedEngine::ingest_batch`], which fans the flows out to their
-/// owning shards (top shard-key address bits) on scoped threads. Stage-2
-/// ticks likewise run across all shards in parallel. Outputs are identical
-/// to [`IpdPipeline`]'s for the same batch sequence, up to report ordering
-/// (sharded tick reports are prefix-sorted; see the `shard` module docs).
-pub struct ShardedPipeline {
-    input: Sender<Vec<FlowRecord>>,
-    output: Receiver<PipelineOutput>,
-    output_taken: std::sync::atomic::AtomicBool,
-    handle: std::thread::JoinHandle<(ShardedEngine, Box<dyn PipelineHook>)>,
-}
-
-impl ShardedPipeline {
-    /// Spawn the coordinator thread with a K-sharded engine.
-    pub fn spawn(config: PipelineConfig) -> Result<Self, crate::params::ParamError> {
-        Self::spawn_hooked(config, Box::new(NoopHook))
-    }
-
-    /// Spawn the coordinator thread with a [`PipelineHook`] riding on the
-    /// driver, exactly like [`IpdPipeline::spawn_hooked`].
-    pub fn spawn_hooked(
-        config: PipelineConfig,
-        hook: Box<dyn PipelineHook>,
-    ) -> Result<Self, crate::params::ParamError> {
-        let mut engine = ShardedEngine::new(config.params.clone(), config.shards)?;
-        engine.attach_telemetry(&config.telemetry);
-        let (in_tx, in_rx) = bounded::<Vec<FlowRecord>>(config.channel_capacity);
-        let (out_tx, out_rx) = bounded::<PipelineOutput>(config.channel_capacity);
-        let snapshot_every = config.snapshot_every_ticks;
-        let metrics = CoreTelemetry::register(&config.telemetry);
-        let handle = std::thread::Builder::new()
-            .name("ipd-sharded-engine".into())
-            .spawn(move || {
-                let mut engine = engine;
-                let mut hook = hook;
-                let mut driver = BucketDriver::new(engine.params().t_secs, snapshot_every)
-                    .with_metrics(metrics.clone());
-                let mut emit = |o: PipelineOutput| {
-                    let _ = out_tx.send(o);
-                };
-                for batch in in_rx.iter() {
-                    metrics.batches.inc();
-                    metrics.batch_size.observe(batch.len() as u64);
-                    metrics.channel_depth.set(in_rx.len() as i64);
-                    driver.ingest_batch_with(&mut engine, &batch, &mut emit, hook.as_mut());
-                    if let Some(last) = batch.last() {
-                        metrics.ingest_watermark.record(last.ts);
-                    }
-                }
-                hook.finished(ShardedEngine::engine(&engine), driver.clock());
-                driver.finish(&mut engine, &mut emit);
-                hook.closed(ShardedEngine::engine(&engine), driver.clock());
-                (engine, hook)
-            })
-            .expect("spawning the sharded engine thread");
-        Ok(ShardedPipeline {
-            input: in_tx,
-            output: out_rx,
-            output_taken: std::sync::atomic::AtomicBool::new(false),
-            handle,
-        })
-    }
-
-    /// A clonable sender for flow batches.
-    pub fn input(&self) -> Sender<Vec<FlowRecord>> {
-        self.input.clone()
-    }
-
-    /// The output stream of tick reports and snapshots. Consumption
-    /// contract as in [`IpdPipeline::output`]: taking it obliges draining
-    /// to disconnect; never taking it means
-    /// [`ShardedPipeline::finish`] returns the whole stream.
-    pub fn output(&self) -> &Receiver<PipelineOutput> {
-        self.output_taken
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        &self.output
-    }
-
-    /// Close the input, wait for the engine thread, and return the sharded
-    /// engine plus the run's outputs — all of them if
-    /// [`ShardedPipeline::output`] was never taken, otherwise none.
-    pub fn finish(self) -> (ShardedEngine, Vec<PipelineOutput>) {
-        let (engine, _, leftover) = self.finish_hooked();
-        (engine, leftover)
-    }
-
-    /// [`ShardedPipeline::finish`], also handing back the hook.
-    pub fn finish_hooked(self) -> (ShardedEngine, Box<dyn PipelineHook>, Vec<PipelineOutput>) {
-        drop(self.input);
-        let taken = self.output_taken.load(std::sync::atomic::Ordering::Relaxed);
-        let ((engine, hook), leftover) = drain_while_finishing(&self.output, self.handle, taken);
+        // The output channel is bounded, so an engine thread flushing its
+        // final ticks can be parked mid-`send`; someone must keep consuming
+        // or the join deadlocks. If the caller took the output, it owns
+        // consumption (it drains until the channel disconnects, which also
+        // unparks the engine), and reading here too would take some of the
+        // last outputs and hand them back out of order with the caller's.
+        // Otherwise this is the sole consumer: it drains until the engine
+        // thread hangs up, so a fire-and-finish caller cannot deadlock.
+        let leftover = if self.output_taken.load(std::sync::atomic::Ordering::Relaxed) {
+            Vec::new()
+        } else {
+            self.output.iter().collect()
+        };
+        let (engine, hook) = self.handle.join().expect("engine thread never panics");
         (engine, hook, leftover)
     }
 }
@@ -794,7 +584,6 @@ mod tests {
             params: test_params(),
             channel_capacity: 16,
             snapshot_every_ticks: 2,
-            shards: 1,
             ..Default::default()
         })
         .unwrap();
@@ -849,7 +638,6 @@ mod tests {
             params: test_params(),
             channel_capacity: 4,
             snapshot_every_ticks: 1,
-            shards: 1,
             ..Default::default()
         })
         .unwrap();
@@ -982,7 +770,7 @@ mod tests {
 
     #[test]
     fn batched_observe_matches_per_flow_observe() {
-        // The batch driver used by ShardedPipeline must fire the same ticks
+        // The batch driver used by IpdPipeline must fire the same ticks
         // at the same data times as the per-flow path, including a batch
         // spanning several boundaries and late data inside the batch.
         let flows: Vec<FlowRecord> = [10u64, 59, 60, 60, 130, 95, 250, 240, 305]

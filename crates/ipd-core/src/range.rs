@@ -417,7 +417,8 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
-    use crate::trie::Node;
+    use crate::trie::{dump_leaf, restore_leaf};
+    use ipd_lpm::{Af, Prefix};
     use ipd_topology::IngressPoint;
     use proptest::prelude::*;
 
@@ -686,10 +687,9 @@ mod tests {
 
     /// Dump and rebuild one monitored leaf through the checkpoint path.
     fn restored(m: MonitorState) -> MonitorState {
-        let mut nodes = Vec::new();
-        Node::Leaf(RangeState::Monitoring(m)).dump_into(&mut nodes);
-        match Node::from_dump(&nodes, &mut 0, 4, ipd_lpm::Af::V4, 32) {
-            Ok(Node::Leaf(RangeState::Monitoring(m))) => m,
+        let dump = dump_leaf(&RangeState::Monitoring(m));
+        match restore_leaf(&dump, Prefix::root(Af::V4), 32, 4) {
+            Ok(RangeState::Monitoring(m)) => m,
             other => panic!("restore changed the leaf: {other:?}"),
         }
     }

@@ -193,49 +193,6 @@ impl CoreTelemetry {
     }
 }
 
-/// Per-shard ingest counters: `ipd_shard_flows_total{shard="k"}`, one
-/// cache-line-padded cell per shard so concurrent shard threads never
-/// contend. Registered by [`crate::ShardedEngine::attach_telemetry`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardCounters {
-    counters: Vec<Counter>,
-}
-
-impl ShardCounters {
-    /// Register counters for `shards` shards.
-    pub fn register(telemetry: &Telemetry, shards: usize) -> Self {
-        ShardCounters {
-            counters: (0..shards)
-                .map(|k| {
-                    telemetry.counter_labeled(
-                        "ipd_shard_flows_total",
-                        "Flows routed to each shard slot (top shard-key address bits)",
-                        &[("shard", &k.to_string())],
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Add `n` flows to shard `slot` (out-of-range slots are ignored; the
-    /// slot space is fixed at registration).
-    pub fn add(&self, slot: usize, n: u64) {
-        if let Some(c) = self.counters.get(slot) {
-            c.add(n);
-        }
-    }
-
-    /// Number of registered slots (0 when disabled).
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Whether no slots are registered.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,9 +242,6 @@ mod tests {
         let m = CoreTelemetry::default();
         m.flows.add(5);
         assert_eq!(m.flows.get(), 0);
-        let s = ShardCounters::default();
-        s.add(0, 3);
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! Differential-equivalence harness for the sharded engine.
+//! Differential-equivalence harness for the engine's two drivers.
 //!
-//! Every seeded flow stream is pushed through each execution strategy the
-//! crate offers —
+//! Every seeded flow stream is pushed through both —
 //!
-//! 1. `run_offline` over the single-threaded [`IpdEngine`] (the reference),
-//! 2. the threaded [`IpdPipeline`] (single engine thread, channel-fed),
-//! 3. `run_offline` over the [`ShardedEngine`] at K ∈ {1, 2, 8}
-//!    (per-flow ingest path),
-//! 4. the [`ShardedPipeline`] at K ∈ {1, 2, 8} (parallel batch ingest path)
+//! 1. `run_offline` over [`IpdEngine`] (per-flow ingest; the reference),
+//! 2. the threaded [`IpdPipeline`] (one engine thread, channel-fed,
+//!    batched ingest)
 //!
-//! — and every run must produce the identical classified prefix→ingress
-//! set, identical cumulative [`EngineStats`], identical canonicalized tick
-//! reports, and bit-for-bit identical snapshot digests. This is the
-//! determinism contract of the `shard` module, checked end to end. The
-//! property tests run it in both count modes, with byte counts drawn from
-//! the edges of the `u32` field (0, 1, 1400, `u32::MAX`).
+//! — and both runs must produce the identical classified prefix→ingress
+//! set, identical cumulative [`EngineStats`], identical tick reports, and
+//! bit-for-bit identical snapshot digests. The property tests run it in
+//! both count modes, with byte counts drawn from the edges of the `u32`
+//! field (0, 1, 1400, `u32::MAX`).
 //!
 //! The row-source tests hold the publication path to the snapshot path
 //! after every tick: [`IpdEngine::served_rows`] equals the classified
@@ -24,11 +20,9 @@
 use ipd::output::Snapshot;
 use ipd::pipeline::{
     run_offline, run_offline_instrumented, IpdPipeline, NoopHook, PipelineConfig, PipelineOutput,
-    ShardedPipeline, TickEngine,
 };
 use ipd::{
-    CountMode, EngineStats, IpdEngine, IpdParams, LogicalIngress, ServedRow, ShardedEngine,
-    StoreDelta, TickReport,
+    CountMode, EngineStats, IpdEngine, IpdParams, LogicalIngress, ServedRow, StoreDelta, TickReport,
 };
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
@@ -47,9 +41,7 @@ fn test_params() -> IpdParams {
     }
 }
 
-/// A tick report reduced to a canonical, ordering-independent form. The
-/// unsharded sweep reports ranges in DFS order while the sharded engine
-/// reports them prefix-sorted; as multisets they must agree exactly.
+/// A tick report in comparable form, its range lists in sweep order.
 #[derive(Debug, Clone, PartialEq)]
 struct CanonReport {
     now: u64,
@@ -60,11 +52,7 @@ struct CanonReport {
     counters: (usize, usize, usize, usize, usize),
 }
 
-fn canon(mut r: TickReport) -> CanonReport {
-    r.newly_classified.sort_unstable_by_key(|a| a.0);
-    r.dropped.sort_unstable();
-    r.invalidated.sort_unstable();
-    r.lb_suspects.sort_unstable();
+fn canon(r: TickReport) -> CanonReport {
     CanonReport {
         now: r.now,
         newly_classified: r.newly_classified,
@@ -110,24 +98,12 @@ fn summarize(
     }
 }
 
-fn run_with_offline<E: TickEngine>(engine: &mut E, flows: &[FlowRecord]) -> Vec<PipelineOutput> {
-    let mut outputs = Vec::new();
-    run_offline(engine, flows.iter().cloned(), SNAPSHOT_EVERY, |o| {
-        outputs.push(o)
-    });
-    outputs
-}
-
 fn reference_run(flows: &[FlowRecord], params: &IpdParams) -> RunResult {
     let mut engine = IpdEngine::new(params.clone()).unwrap();
-    let outputs = run_with_offline(&mut engine, flows);
-    let snap = engine.snapshot(u64::MAX);
-    summarize(engine.stats().clone(), outputs, snap)
-}
-
-fn sharded_offline_run(flows: &[FlowRecord], params: &IpdParams, shards: usize) -> RunResult {
-    let mut engine = ShardedEngine::new(params.clone(), shards).unwrap();
-    let outputs = run_with_offline(&mut engine, flows);
+    let mut outputs = Vec::new();
+    run_offline(&mut engine, flows.iter().cloned(), SNAPSHOT_EVERY, |o| {
+        outputs.push(o)
+    });
     let snap = engine.snapshot(u64::MAX);
     summarize(engine.stats().clone(), outputs, snap)
 }
@@ -137,7 +113,6 @@ fn threaded_run(flows: &[FlowRecord], params: &IpdParams, batch: usize) -> RunRe
         params: params.clone(),
         channel_capacity: 8,
         snapshot_every_ticks: SNAPSHOT_EVERY,
-        shards: 1,
         ..Default::default()
     })
     .unwrap();
@@ -155,35 +130,7 @@ fn threaded_run(flows: &[FlowRecord], params: &IpdParams, batch: usize) -> RunRe
     summarize(engine.stats().clone(), outputs, snap)
 }
 
-fn sharded_pipeline_run(
-    flows: &[FlowRecord],
-    params: &IpdParams,
-    shards: usize,
-    batch: usize,
-) -> RunResult {
-    let pipeline = ShardedPipeline::spawn(PipelineConfig {
-        params: params.clone(),
-        channel_capacity: 8,
-        snapshot_every_ticks: SNAPSHOT_EVERY,
-        shards,
-        ..Default::default()
-    })
-    .unwrap();
-    let tx = pipeline.input();
-    let rx = pipeline.output().clone();
-    let drain = std::thread::spawn(move || rx.iter().collect::<Vec<_>>());
-    for chunk in flows.chunks(batch.max(1)) {
-        tx.send(chunk.to_vec()).unwrap();
-    }
-    drop(tx);
-    let (engine, leftover) = pipeline.finish();
-    let mut outputs = drain.join().unwrap();
-    outputs.extend(leftover);
-    let snap = engine.snapshot(u64::MAX);
-    summarize(engine.stats().clone(), outputs, snap)
-}
-
-/// Assert full equivalence of all execution strategies on one stream.
+/// Assert full equivalence of both drivers on one stream.
 fn assert_all_equivalent(flows: &[FlowRecord], params: &IpdParams, batch: usize) -> RunResult {
     let mode = params.count_mode;
     let reference = reference_run(flows, params);
@@ -192,15 +139,6 @@ fn assert_all_equivalent(flows: &[FlowRecord], params: &IpdParams, batch: usize)
         threaded, reference,
         "{mode:?}: threaded IpdPipeline diverged"
     );
-    for k in [1usize, 2, 8] {
-        let offline = sharded_offline_run(flows, params, k);
-        assert_eq!(
-            offline, reference,
-            "{mode:?}: ShardedEngine (offline driver) K={k} diverged"
-        );
-        let piped = sharded_pipeline_run(flows, params, k, batch);
-        assert_eq!(piped, reference, "{mode:?}: ShardedPipeline K={k} diverged");
-    }
     reference
 }
 
@@ -249,7 +187,7 @@ fn flows_from_samples(samples: &[Sample]) -> Vec<FlowRecord> {
 proptest! {
     /// Seeded random streams — unsorted timestamps included, so late data
     /// and bucket-gap decay paths are exercised — produce identical results
-    /// through every execution strategy, in both count modes.
+    /// through both drivers, in both count modes.
     #[test]
     fn random_streams_are_equivalent(
         samples in proptest::collection::vec(
@@ -286,11 +224,10 @@ proptest! {
 }
 
 /// The telemetry-inertness proof: a live metrics registry must not change a
-/// single engine bit. The same seeded stream runs through every execution
-/// strategy with telemetry attached — plain offline, sharded offline at
-/// K ∈ {1, 8}, the threaded pipeline, and the sharded pipeline — and each
+/// single engine bit. The same seeded stream runs through both drivers
+/// with telemetry attached — offline and the threaded pipeline — and each
 /// instrumented run must equal the uninstrumented reference exactly (stats,
-/// canonical tick reports, snapshot digests, classified set). On top of
+/// tick reports, snapshot digests, classified set). On top of
 /// that, two identical instrumented runs must yield identical
 /// *deterministic* metric snapshots: the counters themselves are pure
 /// functions of the input stream.
@@ -312,102 +249,51 @@ fn telemetry_is_inert() {
     flows.sort_by_key(|f| f.ts);
     let reference = reference_run(&flows, &test_params());
 
-    let instrumented_offline = |shards: Option<usize>| -> (RunResult, Telemetry) {
+    let instrumented_offline = || -> (RunResult, Telemetry) {
         let telemetry = Telemetry::new();
         let mut outputs = Vec::new();
-        let (stats, snap) = match shards {
-            None => {
-                let mut engine = IpdEngine::new(test_params()).unwrap();
-                run_offline_instrumented(
-                    &mut engine,
-                    flows.iter().cloned(),
-                    SNAPSHOT_EVERY,
-                    None,
-                    &mut NoopHook,
-                    &telemetry,
-                    |o| outputs.push(o),
-                );
-                (engine.stats().clone(), engine.snapshot(u64::MAX))
-            }
-            Some(k) => {
-                let mut engine = ShardedEngine::new(test_params(), k).unwrap();
-                engine.attach_telemetry(&telemetry);
-                run_offline_instrumented(
-                    &mut engine,
-                    flows.iter().cloned(),
-                    SNAPSHOT_EVERY,
-                    None,
-                    &mut NoopHook,
-                    &telemetry,
-                    |o| outputs.push(o),
-                );
-                (engine.stats().clone(), engine.snapshot(u64::MAX))
-            }
-        };
-        (summarize(stats, outputs, snap), telemetry)
+        let mut engine = IpdEngine::new(test_params()).unwrap();
+        run_offline_instrumented(
+            &mut engine,
+            flows.iter().cloned(),
+            SNAPSHOT_EVERY,
+            None,
+            &mut NoopHook,
+            &telemetry,
+            |o| outputs.push(o),
+        );
+        let snap = engine.snapshot(u64::MAX);
+        (summarize(engine.stats().clone(), outputs, snap), telemetry)
     };
 
-    // Plain and sharded offline, telemetry on: engine output unchanged.
-    let (plain, plain_telemetry) = instrumented_offline(None);
+    // Offline, telemetry on: engine output unchanged.
+    let (plain, plain_telemetry) = instrumented_offline();
     assert_eq!(plain, reference, "telemetry changed the plain engine");
-    for k in [1usize, 8] {
-        let (sharded, _) = instrumented_offline(Some(k));
-        assert_eq!(sharded, reference, "telemetry changed ShardedEngine K={k}");
-    }
 
-    // Threaded pipelines with telemetry in the config: unchanged too.
-    let spawn_instrumented = |shards: usize| -> (RunResult, Telemetry) {
-        let telemetry = Telemetry::new();
-        let config = PipelineConfig {
-            params: test_params(),
-            channel_capacity: 8,
-            snapshot_every_ticks: SNAPSHOT_EVERY,
-            shards,
-            telemetry: telemetry.clone(),
-        };
-        type Finish = Box<dyn FnOnce() -> (EngineStats, Snapshot, Vec<PipelineOutput>)>;
-        let (tx, rx, finish): (_, _, Finish) = if shards == 1 {
-            let p = IpdPipeline::spawn(config).unwrap();
-            (
-                p.input(),
-                p.output().clone(),
-                Box::new(move || {
-                    let (engine, leftover) = p.finish();
-                    (engine.stats().clone(), engine.snapshot(u64::MAX), leftover)
-                }),
-            )
-        } else {
-            let p = ShardedPipeline::spawn(config).unwrap();
-            (
-                p.input(),
-                p.output().clone(),
-                Box::new(move || {
-                    let (engine, leftover) = p.finish();
-                    (engine.stats().clone(), engine.snapshot(u64::MAX), leftover)
-                }),
-            )
-        };
-        let drain = std::thread::spawn(move || rx.iter().collect::<Vec<_>>());
-        for chunk in flows.chunks(256) {
-            tx.send(chunk.to_vec()).unwrap();
-        }
-        drop(tx);
-        let (stats, snap, leftover) = finish();
-        let mut outputs = drain.join().unwrap();
-        outputs.extend(leftover);
-        (summarize(stats, outputs, snap), telemetry)
-    };
-    let (threaded, threaded_telemetry) = spawn_instrumented(1);
+    // The threaded pipeline with telemetry in the config: unchanged too.
+    let threaded_telemetry = Telemetry::new();
+    let p = IpdPipeline::spawn(PipelineConfig {
+        params: test_params(),
+        channel_capacity: 8,
+        snapshot_every_ticks: SNAPSHOT_EVERY,
+        telemetry: threaded_telemetry.clone(),
+    })
+    .unwrap();
+    let (tx, rx) = (p.input(), p.output().clone());
+    let drain = std::thread::spawn(move || rx.iter().collect::<Vec<_>>());
+    for chunk in flows.chunks(256) {
+        tx.send(chunk.to_vec()).unwrap();
+    }
+    drop(tx);
+    let (engine, leftover) = p.finish();
+    let mut outputs = drain.join().unwrap();
+    outputs.extend(leftover);
+    let threaded = summarize(engine.stats().clone(), outputs, engine.snapshot(u64::MAX));
     assert_eq!(threaded, reference, "telemetry changed IpdPipeline");
-    let (sharded_piped, _) = spawn_instrumented(8);
-    assert_eq!(
-        sharded_piped, reference,
-        "telemetry changed ShardedPipeline"
-    );
 
     // Deterministic metrics: two identical instrumented runs agree sample
     // for sample once timing-class metrics are filtered out.
-    let (_, plain_telemetry2) = instrumented_offline(None);
+    let (_, plain_telemetry2) = instrumented_offline();
     assert_eq!(
         plain_telemetry.snapshot().deterministic(),
         plain_telemetry2.snapshot().deterministic(),
@@ -498,46 +384,23 @@ fn churned_dfz_stream() -> (Vec<FlowRecord>, IpdParams) {
 }
 
 /// The DFZ-scale equivalence proof: the churned stream must produce
-/// bit-identical snapshot digests, stats, and classified sets through the
-/// plain engine and `ShardedEngine` at K ∈ {1, 8}.
+/// bit-identical snapshot digests, stats, tick reports and classified sets
+/// through the offline driver and the threaded `IpdPipeline`.
 #[test]
-fn dfz_churned_stream_plain_vs_sharded_is_equivalent() {
+fn dfz_churned_stream_offline_vs_threaded_is_equivalent() {
     let (flows, params) = churned_dfz_stream();
-    let run = |shards: Option<usize>| -> RunResult {
-        let mut outputs = Vec::new();
-        let (stats, snap) = match shards {
-            None => {
-                let mut engine = IpdEngine::new(params.clone()).unwrap();
-                run_offline(&mut engine, flows.iter().cloned(), SNAPSHOT_EVERY, |o| {
-                    outputs.push(o)
-                });
-                (engine.stats().clone(), engine.snapshot(u64::MAX))
-            }
-            Some(k) => {
-                let mut engine = ShardedEngine::new(params.clone(), k).unwrap();
-                run_offline(&mut engine, flows.iter().cloned(), SNAPSHOT_EVERY, |o| {
-                    outputs.push(o)
-                });
-                (engine.stats().clone(), engine.snapshot(u64::MAX))
-            }
-        };
-        summarize(stats, outputs, snap)
-    };
-
-    let reference = run(None);
+    let reference = reference_run(&flows, &params);
     assert!(
         !reference.snapshot_digests.is_empty(),
         "no snapshots published"
     );
     assert!(reference.stats.classifications > 0, "nothing classified");
-    for k in [1usize, 8] {
-        let sharded = run(Some(k));
-        assert_eq!(
-            sharded.snapshot_digests, reference.snapshot_digests,
-            "ShardedEngine K={k} digest diverged on churned DFZ stream"
-        );
-        assert_eq!(sharded, reference, "ShardedEngine K={k} diverged");
-    }
+    let threaded = threaded_run(&flows, &params, 512);
+    assert_eq!(
+        threaded.snapshot_digests, reference.snapshot_digests,
+        "IpdPipeline digest diverged on churned DFZ stream"
+    );
+    assert_eq!(threaded, reference, "IpdPipeline diverged");
 }
 
 /// A heavier, fully deterministic stream: ~40k flows over 30 minutes from a
@@ -603,7 +466,7 @@ fn seeded_heavy_stream() -> Vec<FlowRecord> {
     flows
 }
 
-/// The seeded heavy stream through every execution strategy; the
+/// The seeded heavy stream through both drivers; the
 /// equivalence assertion is identical to the property tests above.
 #[test]
 fn seeded_heavy_stream_is_equivalent() {
@@ -631,15 +494,15 @@ fn seeded_heavy_stream_is_equivalent() {
 /// order, confidence compared by bits; and the row merge from the previous
 /// tick's rows equals the `StoreDelta::between` oracle over the two
 /// snapshots. Returns how many ticks changed the served map.
-fn assert_row_source_matches<E: TickEngine>(mut engine: E, flows: &[FlowRecord]) -> usize {
-    let t = engine.t_secs();
+fn assert_row_source_matches(mut engine: IpdEngine, flows: &[FlowRecord]) -> usize {
+    let t = engine.params().t_secs;
     let mut prev_snapshot = Snapshot::default();
     let mut prev_rows: Vec<ServedRow> = Vec::new();
     let mut changed = 0;
-    let mut tick = |engine: &mut E, now: u64| {
+    let mut tick = |engine: &mut IpdEngine, now: u64| {
         engine.tick(now);
-        let snapshot = engine.engine().classified_snapshot(now);
-        let rows = engine.engine().served_rows();
+        let snapshot = engine.classified_snapshot(now);
+        let rows = engine.served_rows();
         let want: Vec<(Prefix, Option<&LogicalIngress>, u64)> = snapshot
             .records
             .iter()
@@ -681,19 +544,10 @@ fn assert_row_source_matches<E: TickEngine>(mut engine: E, flows: &[FlowRecord])
     changed
 }
 
-/// The row source on one input for the plain engine and `ShardedEngine`
-/// at K ∈ {1, 8}: every strategy sees the same number of map changes.
+/// The row source on one input: the served map must change more than once.
 fn assert_row_source_on(flows: &[FlowRecord], params: &IpdParams) {
     let changed = assert_row_source_matches(IpdEngine::new(params.clone()).unwrap(), flows);
     assert!(changed > 1, "the served map must change more than once");
-    for k in [1usize, 8] {
-        let sharded = ShardedEngine::new(params.clone(), k).unwrap();
-        assert_eq!(
-            assert_row_source_matches(sharded, flows),
-            changed,
-            "ShardedEngine K={k} changed the map on a different number of ticks"
-        );
-    }
 }
 
 #[test]

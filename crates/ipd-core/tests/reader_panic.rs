@@ -16,7 +16,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use ipd::pipeline::{IpdPipeline, PipelineConfig, PipelineOutput, ShardedPipeline};
+use ipd::pipeline::{IpdPipeline, PipelineConfig, PipelineOutput};
 use ipd::IpdParams;
 use ipd_lpm::Addr;
 use ipd_netflow::FlowRecord;
@@ -69,25 +69,10 @@ fn count_ticks(outputs: &[PipelineOutput]) -> usize {
 /// The common scenario: a drainer consumes outputs (the normal deployment
 /// shape), a reader sends `BATCHES_BEFORE_PANIC` batches and dies. Returns
 /// (flows ingested, ticks seen) once the pipeline is fully drained.
-fn panicking_reader_scenario(sharded: bool) -> (u64, usize) {
+fn panicking_reader_scenario() -> (u64, usize) {
     with_watchdog(60, move || {
-        enum Either {
-            Plain(IpdPipeline),
-            Sharded(ShardedPipeline),
-        }
-        let mut cfg = config();
-        if sharded {
-            cfg.shards = 8;
-        }
-        let (p, input, output) = if sharded {
-            let p = ShardedPipeline::spawn(cfg).unwrap();
-            let (i, o) = (p.input(), p.output().clone());
-            (Either::Sharded(p), i, o)
-        } else {
-            let p = IpdPipeline::spawn(cfg).unwrap();
-            let (i, o) = (p.input(), p.output().clone());
-            (Either::Plain(p), i, o)
-        };
+        let p = IpdPipeline::spawn(config()).unwrap();
+        let (input, output) = (p.input(), p.output().clone());
 
         // Downstream consumer: keeps the bounded output channel moving,
         // collects until the engine thread hangs up.
@@ -110,16 +95,8 @@ fn panicking_reader_scenario(sharded: bool) -> (u64, usize) {
         // The engine side must drain everything sent before the crash and
         // come back. (The pipeline's own Sender clone is dropped inside
         // finish(); until then the input channel is still open.)
-        let (flows, leftover) = match p {
-            Either::Plain(p) => {
-                let (engine, leftover) = p.finish();
-                (engine.stats().flows_ingested, leftover)
-            }
-            Either::Sharded(p) => {
-                let (engine, leftover) = p.finish();
-                (engine.stats().flows_ingested, leftover)
-            }
-        };
+        let (engine, leftover) = p.finish();
+        let flows = engine.stats().flows_ingested;
         // The drainer took the output, so it receives every output and
         // finish() hands back none; together they hold every output.
         let drained = drainer.join().expect("drainer never panics");
@@ -129,7 +106,7 @@ fn panicking_reader_scenario(sharded: bool) -> (u64, usize) {
 
 #[test]
 fn plain_pipeline_survives_reader_panic() {
-    let (flows, ticks) = panicking_reader_scenario(false);
+    let (flows, ticks) = panicking_reader_scenario();
     assert_eq!(
         flows,
         (BATCHES_BEFORE_PANIC * FLOWS_PER_BATCH) as u64,
@@ -137,16 +114,6 @@ fn plain_pipeline_survives_reader_panic() {
     );
     // 20 minutes of data-time crossed 19 bucket boundaries plus the final
     // flush tick.
-    assert!(
-        ticks >= BATCHES_BEFORE_PANIC - 1,
-        "final ticks missing: {ticks}"
-    );
-}
-
-#[test]
-fn sharded_pipeline_survives_reader_panic() {
-    let (flows, ticks) = panicking_reader_scenario(true);
-    assert_eq!(flows, (BATCHES_BEFORE_PANIC * FLOWS_PER_BATCH) as u64);
     assert!(
         ticks >= BATCHES_BEFORE_PANIC - 1,
         "final ticks missing: {ticks}"

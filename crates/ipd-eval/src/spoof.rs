@@ -108,7 +108,6 @@ mod tests {
                     ..DfzConfig::smoke_10k(3)
                 }),
                 minutes: 8,
-                shards: 1,
                 window_secs: 300,
                 snapshot_every_ticks: 5,
             },

@@ -3,16 +3,16 @@
 //! epoch is bit-identical to the engine's own snapshot trie captured live
 //! at that epoch — same ranges, same ingresses, confidence bit patterns
 //! included — and its image equals the rows `ServePublisher` served at that
-//! epoch, for the plain engine and the sharded engine at K ∈ {1, 8}, and
-//! for publishers that skip crossings (first recording after silent ones,
-//! or only at the close).
+//! epoch, for a publisher that records every crossing and for publishers
+//! that skip crossings (first recording after silent ones, or only at the
+//! close).
 //! A serve-integration variant drives the same comparison through the wire
 //! protocol, synchronizing on `WaitEpoch` instead of sleeping.
 
 use std::sync::Arc;
 
-use ipd::pipeline::{run_offline_with, BucketClock, PipelineHook, TickEngine};
-use ipd::{IpdEngine, IpdParams, ShardedEngine, Snapshot};
+use ipd::pipeline::{run_offline_with, BucketClock, PipelineHook};
+use ipd::{IpdEngine, IpdParams, Snapshot};
 use ipd_hist::{HistConfig, HistPublisher, HistStore, HistTelemetry, Row};
 use ipd_lpm::Addr;
 use ipd_netflow::FlowRecord;
@@ -184,8 +184,8 @@ fn assert_store_matches_snapshot(store: &IngressStore, snapshot: &Snapshot, epoc
 /// Run `flows` recording on `schedule`, then check every epoch: the
 /// reconstructed store answers like the live snapshot, and the image equals
 /// the rows served at that epoch. Returns (epochs, classified at close).
-fn run_and_check<E: TickEngine>(
-    mut engine: E,
+fn run_and_check(
+    mut engine: IpdEngine,
     flows: Vec<FlowRecord>,
     dir: &std::path::Path,
     schedule: Schedule,
@@ -282,25 +282,6 @@ fn dfz_close_only_record_reconstructs_bit_identically() {
     assert_eq!(epochs, 1);
     assert!(classified > 0, "the churned stream must classify something");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn dfz_sharded_engines_every_epoch_reconstructs_bit_identically() {
-    let (_, flows, params) = churned_world();
-    let mut counts = Vec::new();
-    for k in [1usize, 8] {
-        let dir = temp_dir(&format!("sharded-{k}"));
-        let (_, classified) = run_and_check(
-            ShardedEngine::new(params.clone(), k).unwrap(),
-            flows.clone(),
-            &dir,
-            Schedule::Every,
-        );
-        assert!(classified > 0, "K={k}: the stream must classify something");
-        counts.push(classified);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    assert_eq!(counts[0], counts[1], "K=1 and K=8 classified counts differ");
 }
 
 /// The wire-protocol variant: a server with the history attached answers

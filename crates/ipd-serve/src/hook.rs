@@ -55,9 +55,8 @@ impl ServePublisher {
         Self::with_config(1, metrics)
     }
 
-    /// A publisher over `regions` store regions (power of two ≤ 256; pass
-    /// the engine's shard count so publication parallelises along the same
-    /// axis as ingest), reporting into `metrics`.
+    /// A publisher over `regions` store regions (power of two ≤ 256; see
+    /// [`LiveStore`]), reporting into `metrics`.
     pub fn with_config(regions: usize, metrics: ServeTelemetry) -> Self {
         ServePublisher {
             swap: EpochSwap::new(LiveStore::new(regions)),

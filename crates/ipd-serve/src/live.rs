@@ -5,12 +5,10 @@
 //! # Regions
 //!
 //! The store is split into `K` (a power of two) independent concurrent LPM
-//! regions routed on the top `log2 K` address bits of each family — exactly
-//! the `ShardedEngine` slot rule, so one publisher region receives the
-//! changes of one engine shard and region application parallelises along the
-//! same axis as ingest. A prefix shorter than the routing depth is
-//! replicated into every region it covers; an address lookup therefore
-//! touches exactly one region.
+//! regions routed on the top `log2 K` address bits of each family, so the
+//! changes of one publication can be applied region by region. A prefix
+//! shorter than the routing depth is replicated into every region it
+//! covers; an address lookup therefore touches exactly one region.
 //!
 //! # Epoch semantics
 //!
@@ -59,7 +57,7 @@ impl Default for LiveStore {
 
 impl LiveStore {
     /// An empty store with `regions` concurrent LPM regions (power of two,
-    /// at most 256 — the `ShardedEngine` bound), at epoch 0.
+    /// at most 256), at epoch 0.
     pub fn new(regions: usize) -> Self {
         Self::with_base_epoch(regions, 0)
     }

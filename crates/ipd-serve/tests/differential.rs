@@ -1,8 +1,8 @@
 //! Differential correctness of the serving layer: for a generated flow
 //! trace, the published [`LiveStore`] at **every** epoch boundary is
 //! bit-identical to the engine's own snapshot trie at the same bucket
-//! boundary — for the plain engine and the sharded engine at K ∈ {1, 8},
-//! including the all-unmapped case, and for publishers that skip crossings
+//! boundary — including on a route-churned stream and in the all-unmapped
+//! case, and for publishers that skip crossings
 //! (first publishing after silent ones, or only at the close). A separate
 //! test keeps reader threads querying *during* `ServePublisher::closed()` —
 //! with the store's yield hook armed so the apply window is stretched
@@ -16,8 +16,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ipd::pipeline::{run_offline_with, BucketClock, PipelineHook, TickEngine};
-use ipd::{IpdEngine, IpdParams, LogicalIngress, ShardedEngine, Snapshot};
+use ipd::pipeline::{run_offline_with, BucketClock, PipelineHook};
+use ipd::{IpdEngine, IpdParams, LogicalIngress, Snapshot};
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
 use ipd_serve::{EpochSwap, IngressStore, LiveStore, ServePublisher};
@@ -205,8 +205,8 @@ fn assert_epochs_identical(epochs: &[EpochCapture]) {
 }
 
 /// Run `flows` publishing on `schedule` and check every publication.
-fn run_with_schedule<E: TickEngine>(
-    mut engine: E,
+fn run_with_schedule(
+    mut engine: IpdEngine,
     flows: Vec<FlowRecord>,
     schedule: Schedule,
 ) -> Vec<EpochCapture> {
@@ -216,7 +216,7 @@ fn run_with_schedule<E: TickEngine>(
     hook.epochs
 }
 
-fn run_and_check<E: TickEngine>(engine: E, flows: Vec<FlowRecord>) -> usize {
+fn run_and_check(engine: IpdEngine, flows: Vec<FlowRecord>) -> usize {
     run_with_schedule(engine, flows, Schedule::Every)
         .last()
         .map(|c| c.snapshot.classified().count())
@@ -227,15 +227,6 @@ fn run_and_check<E: TickEngine>(engine: E, flows: Vec<FlowRecord>) -> usize {
 fn plain_engine_every_epoch_is_bit_identical() {
     let classified = run_and_check(IpdEngine::new(classify_params()).unwrap(), trace(10));
     assert!(classified > 0, "the trace must classify something");
-}
-
-#[test]
-fn sharded_engines_every_epoch_is_bit_identical() {
-    for k in [1usize, 8] {
-        let classified =
-            run_and_check(ShardedEngine::new(classify_params(), k).unwrap(), trace(10));
-        assert!(classified > 0, "K={k}: the trace must classify something");
-    }
 }
 
 /// The DFZ satellite: the same every-epoch bit-identity must hold while the
@@ -263,13 +254,8 @@ fn dfz_churned_stream_every_epoch_is_bit_identical() {
         ncidr_factor_v6: (rate * 1.5e-11).max(1e-9),
         ..IpdParams::default()
     };
-    let classified = run_and_check(IpdEngine::new(params.clone()).unwrap(), flows.clone());
+    let classified = run_and_check(IpdEngine::new(params).unwrap(), flows);
     assert!(classified > 0, "the churned stream must classify something");
-    let sharded = run_and_check(ShardedEngine::new(params, 8).unwrap(), flows);
-    assert_eq!(
-        sharded, classified,
-        "plain and K=8 classified counts differ"
-    );
 }
 
 /// A publisher that first publishes after `SILENT` crossings it only
@@ -291,33 +277,19 @@ fn first_publication_after_silent_crossings_is_bit_identical() {
     );
     assert_eq!(plain.len(), every.len() - SILENT);
     assert!(!plain[0].rows.is_empty(), "the first publication is warm");
-    let sharded = run_with_schedule(
-        ShardedEngine::new(classify_params(), 8).unwrap(),
-        trace(10),
-        Schedule::AfterSilent(SILENT),
-    );
-    assert_eq!(sharded.len(), plain.len());
 }
 
 /// A publisher that publishes only at the close serves the terminal map
 /// bit-identically from one full delta.
 #[test]
 fn close_only_publication_is_bit_identical() {
-    for epochs in [
-        run_with_schedule(
-            IpdEngine::new(classify_params()).unwrap(),
-            trace(10),
-            Schedule::CloseOnly,
-        ),
-        run_with_schedule(
-            ShardedEngine::new(classify_params(), 8).unwrap(),
-            trace(10),
-            Schedule::CloseOnly,
-        ),
-    ] {
-        assert_eq!(epochs.len(), 1, "one publication, at the close");
-        assert!(!epochs[0].rows.is_empty(), "the terminal map classifies");
-    }
+    let epochs = run_with_schedule(
+        IpdEngine::new(classify_params()).unwrap(),
+        trace(10),
+        Schedule::CloseOnly,
+    );
+    assert_eq!(epochs.len(), 1, "one publication, at the close");
+    assert!(!epochs[0].rows.is_empty(), "the terminal map classifies");
 }
 
 #[test]

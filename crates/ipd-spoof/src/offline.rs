@@ -12,15 +12,13 @@
 //!
 //! Determinism contract: the verdict stream is a function of the scenario
 //! seed and the published epoch sequence alone, so the same trace produces
-//! a bit-identical stream — and plain vs [`ShardedEngine`] at any K produce
-//! the same published epochs, hence the same digest (pinned by the crate's
-//! differential test and the workspace golden test).
+//! a bit-identical stream (pinned by the workspace golden test).
 //!
 //! [`LiveStore`]: ipd_serve::LiveStore
 
-use ipd::pipeline::{BucketDriver, PipelineHook, PipelineOutput, TickEngine};
-use ipd::{IpdEngine, IpdParams, ShardedEngine};
-use ipd_serve::{ServePublisher, ServeTelemetry};
+use ipd::pipeline::{BucketDriver, PipelineHook, PipelineOutput};
+use ipd::{IpdEngine, IpdParams};
+use ipd_serve::ServePublisher;
 use ipd_topology::IngressPoint;
 use ipd_traffic::{DfzWorld, FlowLabel, SpoofScenario};
 
@@ -36,9 +34,6 @@ pub struct SpoofRunConfig {
     pub scenario: SpoofScenario,
     /// Minutes of stream.
     pub minutes: u64,
-    /// Engine shard count: 1 drives a plain [`IpdEngine`], >1 a
-    /// [`ShardedEngine`] (power of two).
-    pub shards: usize,
     /// Detector evidence window (see [`SpoofConfig`]).
     pub window_secs: u64,
     /// Snapshot cadence of the driver, in ticks.
@@ -55,7 +50,6 @@ impl SpoofRunConfig {
                 ..ipd_traffic::DfzConfig::smoke_10k(seed)
             }),
             minutes: 12,
-            shards: 1,
             window_secs: SpoofConfig::default().window_secs,
             snapshot_every_ticks: 5,
         }
@@ -67,7 +61,6 @@ impl SpoofRunConfig {
         SpoofRunConfig {
             scenario: SpoofScenario::tier_100k(seed),
             minutes: 30,
-            shards: 1,
             window_secs: SpoofConfig::default().window_secs,
             snapshot_every_ticks: 5,
         }
@@ -151,33 +144,16 @@ impl SpoofReport {
     }
 }
 
-/// Run the detector offline over a freshly generated scenario. Builds the
-/// world, sizes the engine to the flow rate, and drives a plain or sharded
-/// engine per [`SpoofRunConfig::shards`].
+/// Run the detector offline over a freshly generated scenario: build the
+/// world, size the engine to the flow rate, and drive it.
 pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofReport {
     let world = DfzWorld::new(cfg.scenario.dfz);
-    let params = cfg.engine_params();
-    if cfg.shards <= 1 {
-        let engine = IpdEngine::new(params).expect("preset params are valid");
-        drive(engine, &world, cfg, metrics)
-    } else {
-        let engine = ShardedEngine::new(params, cfg.shards).expect("preset params are valid");
-        drive(engine, &world, cfg, metrics)
-    }
-}
-
-fn drive<E: TickEngine>(
-    mut engine: E,
-    world: &DfzWorld,
-    cfg: &SpoofRunConfig,
-    metrics: &SpoofTelemetry,
-) -> SpoofReport {
-    let detector = SpoofDetector::new(RouteExpect::new(world, cfg.window_secs), metrics.clone());
-    let mut publisher =
-        ServePublisher::with_config(cfg.shards.next_power_of_two(), ServeTelemetry::default());
+    let mut engine = IpdEngine::new(cfg.engine_params()).expect("preset params are valid");
+    let detector = SpoofDetector::new(RouteExpect::new(&world, cfg.window_secs), metrics.clone());
+    let mut publisher = ServePublisher::new();
     let swap = publisher.swap();
     let mut reader = swap.reader();
-    let mut driver = BucketDriver::new(engine.t_secs(), cfg.snapshot_every_ticks);
+    let mut driver = BucketDriver::new(engine.params().t_secs, cfg.snapshot_every_ticks);
 
     let mut flows = 0u64;
     let mut ticks = 0u64;
@@ -191,7 +167,7 @@ fn drive<E: TickEngine>(
             ticks += 1;
         }
     };
-    for sf in cfg.scenario.stream(world, cfg.minutes) {
+    for sf in cfg.scenario.stream(&world, cfg.minutes) {
         // 1. Advance data time; bucket crossings publish fresh epochs.
         driver.observe_with(&mut engine, sf.flow.ts, &mut out, &mut publisher);
         // 2. Judge against the map exactly as served at this instant.
@@ -235,9 +211,9 @@ fn drive<E: TickEngine>(
         // 3. Ingest — forged flows included; the engine cannot pre-filter.
         engine.ingest(&sf.flow);
     }
-    publisher.finished(engine.engine(), driver.clock());
+    publisher.finished(&engine, driver.clock());
     driver.finish(&mut engine, &mut out);
-    publisher.closed(engine.engine(), driver.clock());
+    publisher.closed(&engine, driver.clock());
     // The terminal summary: final epoch, total spoofed/shift verdicts.
     let last = swap.load();
     metrics.flight.record(
@@ -269,7 +245,6 @@ mod tests {
                 ..ipd_traffic::DfzConfig::smoke_10k(seed)
             }),
             minutes: 10,
-            shards: 1,
             window_secs: 300,
             snapshot_every_ticks: 5,
         }
@@ -300,18 +275,5 @@ mod tests {
         let b = run_offline(&fast(8), &SpoofTelemetry::register(&t));
         assert_eq!(a, b);
         assert_eq!(t.snapshot().counter("ipd_spoof_flows_total"), Some(a.flows));
-    }
-
-    #[test]
-    fn sharded_engines_produce_identical_verdicts() {
-        let base = fast(9);
-        let plain = run_offline(&base, &SpoofTelemetry::default());
-        for shards in [2usize, 8] {
-            let sharded = run_offline(
-                &SpoofRunConfig { shards, ..base },
-                &SpoofTelemetry::default(),
-            );
-            assert_eq!(plain, sharded, "K={shards} diverged from plain");
-        }
     }
 }

@@ -72,8 +72,7 @@ impl DurableHandle {
 
 /// The write-ahead durability hook. Plug into
 /// [`run_offline_with`](ipd::pipeline::run_offline_with) or
-/// [`IpdPipeline::spawn_hooked`](ipd::pipeline::IpdPipeline::spawn_hooked) /
-/// [`ShardedPipeline::spawn_hooked`](ipd::pipeline::ShardedPipeline::spawn_hooked).
+/// [`IpdPipeline::spawn_hooked`](ipd::pipeline::IpdPipeline::spawn_hooked).
 ///
 /// I/O failures after start are recorded (see [`DurableHandle`]) but do not
 /// stop the run — losing durability is strictly better than losing the

@@ -24,11 +24,9 @@
 //!
 //! Kill a run at any point, [`restore`](durable::restore), and continue
 //! with the remaining flows: the final [`ipd::Snapshot::digest`] and
-//! classified set are bit-for-bit identical to an uninterrupted run. This
-//! holds for the plain engine and for [`ipd::ShardedEngine`] at any shard
-//! count — checkpoints are shard-count-free, so a run checkpointed at one
-//! width can be restored at another. Like the sharding contract, this
-//! holds in both count modes.
+//! classified set are bit-for-bit identical to an uninterrupted run, for
+//! the offline driver and the threaded pipeline alike, in both count
+//! modes.
 
 pub mod codec;
 pub mod durable;

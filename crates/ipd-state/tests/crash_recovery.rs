@@ -8,19 +8,17 @@
 //! classified prefix→ingress set, and cumulative engine stats must be
 //! bit-for-bit identical to the uninterrupted run, for:
 //!
-//! * the per-flow offline driver on the plain engine,
-//! * the sharded batch driver at K ∈ {1, 8} — including restoring at a
-//!   *different* shard count than the run was checkpointed under,
-//! * the threaded `IpdPipeline` / `ShardedPipeline` (`spawn_hooked`),
+//! * the per-flow offline driver,
+//! * the threaded `IpdPipeline` (`spawn_hooked`, batched ingest),
 //! * a damaged latest checkpoint (restore falls back a generation), and
 //! * a torn final journal frame (replay stops at the last whole frame and
 //!   the lost flows are re-delivered).
 
 use ipd::pipeline::{
     run_offline, run_offline_with, BucketClock, BucketDriver, IpdPipeline, NoopHook,
-    PipelineConfig, PipelineHook, ShardedPipeline,
+    PipelineConfig, PipelineHook,
 };
-use ipd::{EngineStats, IpdEngine, IpdParams, LogicalIngress, ShardedEngine};
+use ipd::{EngineStats, IpdEngine, IpdParams, LogicalIngress};
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
 use ipd_state::{restore, CheckpointStore, Durable, DurableConfig};
@@ -159,29 +157,6 @@ fn crash_plain(dir: &std::path::Path, flows: &[FlowRecord], cut: usize) {
     // Engine dropped here: the crash.
 }
 
-/// Same crash, but through the sharded batch driver at `shards`.
-fn crash_sharded(dir: &std::path::Path, flows: &[FlowRecord], cut: usize, shards: usize) {
-    let mut engine = ShardedEngine::new(test_params(), shards).unwrap();
-    let mut durable = Durable::start(
-        dir,
-        engine.engine(),
-        BucketClock::default(),
-        durable_config(),
-    )
-    .unwrap();
-    let mut driver = BucketDriver::new(engine.params().t_secs, SNAPSHOT_EVERY);
-    let mut sink = |_out| {};
-    for batch in flows[..cut].chunks(512) {
-        driver.ingest_batch_with(&mut engine, batch, &mut sink, &mut durable);
-    }
-    PipelineHook::finished(&mut durable, engine.engine(), driver.clock());
-    assert_eq!(durable.handle().stats().io_errors, 0);
-}
-
-/// Restore from `dir` and finish the stream on a plain engine. The restored
-/// engine's own `flows_ingested` tells us where in the stream it died —
-/// everything after that is re-delivered (exactly what a collector replaying
-/// from its own upstream position would do).
 fn resume_plain(dir: &std::path::Path, flows: &[FlowRecord]) -> FinalState {
     let restored = restore(dir, SNAPSHOT_EVERY).unwrap();
     let applied = restored.engine.stats().flows_ingested as usize;
@@ -196,23 +171,6 @@ fn resume_plain(dir: &std::path::Path, flows: &[FlowRecord]) -> FinalState {
         |_| {},
     );
     final_state(&engine)
-}
-
-/// Restore from `dir` into a sharded engine at `shards` — any width, not
-/// necessarily the one the run was checkpointed under — and finish.
-fn resume_sharded(dir: &std::path::Path, flows: &[FlowRecord], shards: usize) -> FinalState {
-    let restored = restore(dir, SNAPSHOT_EVERY).unwrap();
-    let applied = restored.engine.stats().flows_ingested as usize;
-    let mut engine = ShardedEngine::from_engine(restored.engine, shards).unwrap();
-    run_offline_with(
-        &mut engine,
-        flows[applied..].iter().cloned(),
-        SNAPSHOT_EVERY,
-        Some(restored.clock),
-        &mut NoopHook,
-        |_| {},
-    );
-    final_state(engine.engine())
 }
 
 #[test]
@@ -234,41 +192,6 @@ fn plain_engine_crash_at_two_cuts_restores_exactly() {
 }
 
 #[test]
-fn sharded_crash_restores_at_same_and_different_widths() {
-    let flows = seeded_flows();
-    let reference = reference_run(&flows);
-    let cut = flows.len() / 2;
-
-    // Checkpoint under K=8; restore plain, at K=1, and at K=8.
-    let dir = tmp_dir("sharded-k8");
-    crash_sharded(&dir, &flows, cut, 8);
-    assert_eq!(
-        resume_plain(&dir, &flows),
-        reference,
-        "K=8 → plain diverged"
-    );
-    assert_eq!(
-        resume_sharded(&dir, &flows, 1),
-        reference,
-        "K=8 → K=1 diverged"
-    );
-    assert_eq!(
-        resume_sharded(&dir, &flows, 8),
-        reference,
-        "K=8 → K=8 diverged"
-    );
-
-    // Checkpoint under K=1; restore at K=8.
-    let dir = tmp_dir("sharded-k1");
-    crash_sharded(&dir, &flows, cut, 1);
-    assert_eq!(
-        resume_sharded(&dir, &flows, 8),
-        reference,
-        "K=1 → K=8 diverged"
-    );
-}
-
-#[test]
 fn threaded_pipelines_crash_and_restore_exactly() {
     let flows = seeded_flows();
     let reference = reference_run(&flows);
@@ -287,7 +210,6 @@ fn threaded_pipelines_crash_and_restore_exactly() {
                 params: test_params(),
                 channel_capacity: 8,
                 snapshot_every_ticks: SNAPSHOT_EVERY,
-                shards: 1,
                 ..Default::default()
             },
             Box::new(durable),
@@ -309,39 +231,6 @@ fn threaded_pipelines_crash_and_restore_exactly() {
         resume_plain(&dir, &flows),
         reference,
         "IpdPipeline crash diverged"
-    );
-
-    // Sharded threaded pipeline at K=8, restored into a plain engine.
-    let dir = tmp_dir("pipeline-sharded");
-    {
-        let seed = IpdEngine::new(test_params()).unwrap();
-        let durable =
-            Durable::start(&dir, &seed, BucketClock::default(), durable_config()).unwrap();
-        let pipeline = ShardedPipeline::spawn_hooked(
-            PipelineConfig {
-                params: test_params(),
-                channel_capacity: 8,
-                snapshot_every_ticks: SNAPSHOT_EVERY,
-                shards: 8,
-                ..Default::default()
-            },
-            Box::new(durable),
-        )
-        .unwrap();
-        let tx = pipeline.input();
-        let rx = pipeline.output().clone();
-        let drain = std::thread::spawn(move || rx.iter().for_each(drop));
-        for chunk in flows[..cut].chunks(512) {
-            tx.send(chunk.to_vec()).unwrap();
-        }
-        drop(tx);
-        let (_engine, _hook, _leftover) = pipeline.finish_hooked();
-        drain.join().unwrap();
-    }
-    assert_eq!(
-        resume_plain(&dir, &flows),
-        reference,
-        "ShardedPipeline crash diverged"
     );
 }
 

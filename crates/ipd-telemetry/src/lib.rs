@@ -55,10 +55,6 @@
 //!
 //! All of it obeys the same inertness contract: disabled handles are
 //! one-branch no-ops, and enabled handles only observe.
-//!
-//! With the `trace` cargo feature, the [`trace`] module adds lightweight
-//! span/event tracing with `target=level` filtering (`off` silences a
-//! target).
 
 mod flight;
 mod http;
@@ -68,9 +64,6 @@ mod snapshot;
 mod stall;
 mod status;
 mod watermark;
-
-#[cfg(feature = "trace")]
-pub mod trace;
 
 pub use flight::{
     decode_events, encode_events, install_panic_dump, render_events, EventKind, FlightCodecError,

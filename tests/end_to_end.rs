@@ -208,7 +208,6 @@ fn threaded_pipeline_agrees_with_direct_ingestion() {
         params: scaled_params(),
         channel_capacity: 64,
         snapshot_every_ticks: 5,
-        shards: 1,
         ..Default::default()
     })
     .unwrap();

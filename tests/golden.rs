@@ -1,6 +1,6 @@
 //! Golden determinism regression: a seeded mini-internet run must produce
 //! the exact same engine statistics and snapshot digest on every machine,
-//! every run, at every shard count.
+//! every run.
 //!
 //! The pinned numbers below encode the full behavior chain: the world
 //! generator and flow simulator (seeded `StdRng` streams), stage-1
@@ -11,7 +11,7 @@
 //! *intentional* behavior change, and say so in the commit.
 
 use ipd_suite::ipd::pipeline::{run_offline, run_offline_with, PipelineOutput};
-use ipd_suite::ipd::{CountMode, IpdEngine, IpdParams, LogicalIngress, ShardedEngine, Snapshot};
+use ipd_suite::ipd::{CountMode, IpdEngine, IpdParams, LogicalIngress, Snapshot};
 use ipd_suite::netflow::FlowRecord;
 use ipd_suite::serve::{ServePublisher, ServeTelemetry};
 use ipd_suite::traffic::{FlowSim, SimConfig, World, WorldConfig};
@@ -102,34 +102,23 @@ fn golden_run_is_bit_for_bit_stable() {
 }
 
 #[test]
-fn golden_digest_is_shard_count_invariant() {
-    let flows = golden_flows();
-    let mut engine = ShardedEngine::new(golden_params(), 4).unwrap();
-    let mut outputs = Vec::new();
-    run_offline(&mut engine, flows.iter().cloned(), 5, |o| outputs.push(o));
-    assert_eq!(last_snapshot(outputs).digest(), GOLDEN_DIGEST);
-}
-
-#[test]
-fn golden_bytes_mode_run_is_stable_and_shard_count_invariant() {
+fn golden_bytes_mode_run_is_stable() {
     let flows = golden_flows();
     let params = IpdParams {
         count_mode: CountMode::Bytes,
         ..golden_params()
     };
-    for k in [1usize, 8] {
-        let mut engine = ShardedEngine::new(params.clone(), k).unwrap();
-        let mut outputs = Vec::new();
-        run_offline(&mut engine, flows.iter().cloned(), 5, |o| outputs.push(o));
-        let snap = last_snapshot(outputs);
-        assert_eq!(engine.stats().flows_ingested, GOLDEN_FLOWS);
-        assert_eq!(
-            (snap.digest(), snap.classified().count()),
-            (GOLDEN_BYTES_DIGEST, GOLDEN_BYTES_CLASSIFIED),
-            "K={k}: Bytes-mode snapshot drifted — stats: {:?}",
-            engine.stats()
-        );
-    }
+    let mut engine = IpdEngine::new(params).unwrap();
+    let mut outputs = Vec::new();
+    run_offline(&mut engine, flows.iter().cloned(), 5, |o| outputs.push(o));
+    let snap = last_snapshot(outputs);
+    assert_eq!(engine.stats().flows_ingested, GOLDEN_FLOWS);
+    assert_eq!(
+        (snap.digest(), snap.classified().count()),
+        (GOLDEN_BYTES_DIGEST, GOLDEN_BYTES_CLASSIFIED),
+        "Bytes-mode snapshot drifted — stats: {:?}",
+        engine.stats()
+    );
 }
 
 /// Canonical FNV-1a encoding of the live store's materialised rows: address

@@ -2,8 +2,7 @@
 //!
 //! The same seeded mini-internet run, instrumented with a live registry:
 //! every deterministic-class metric must come out bit-for-bit identical on
-//! every machine and at every shard count, and must match the values pinned
-//! below. Timing-class metrics (tick wall time) are checked for *presence*
+//! every machine and every run, and must match the values pinned below. Timing-class metrics (tick wall time) are checked for *presence*
 //! only — their values are scheduling noise by design.
 //!
 //! If `golden.rs` trips, fix that first; if only this file trips, the
@@ -12,7 +11,7 @@
 //! so in the commit.
 
 use ipd_suite::ipd::pipeline::{run_offline_instrumented, NoopHook};
-use ipd_suite::ipd::{IpdEngine, IpdParams, ShardedEngine};
+use ipd_suite::ipd::{IpdEngine, IpdParams};
 use ipd_suite::netflow::FlowRecord;
 use ipd_suite::telemetry::{MetricsSnapshot, Telemetry};
 use ipd_suite::traffic::{FlowSim, SimConfig, World, WorldConfig};
@@ -61,38 +60,19 @@ fn golden_flows() -> Vec<FlowRecord> {
     flows
 }
 
-/// Run the golden stream instrumented, at shard count `shards` (None =
-/// plain engine), and return the metrics snapshot.
-fn instrumented_run(shards: Option<usize>) -> MetricsSnapshot {
-    let flows = golden_flows();
+/// Run the golden stream instrumented and return the metrics snapshot.
+fn instrumented_run() -> MetricsSnapshot {
     let telemetry = Telemetry::new();
-    match shards {
-        None => {
-            let mut engine = IpdEngine::new(golden_params()).unwrap();
-            run_offline_instrumented(
-                &mut engine,
-                flows,
-                SNAPSHOT_EVERY,
-                None,
-                &mut NoopHook,
-                &telemetry,
-                |_| {},
-            );
-        }
-        Some(k) => {
-            let mut engine = ShardedEngine::new(golden_params(), k).unwrap();
-            engine.attach_telemetry(&telemetry);
-            run_offline_instrumented(
-                &mut engine,
-                flows,
-                SNAPSHOT_EVERY,
-                None,
-                &mut NoopHook,
-                &telemetry,
-                |_| {},
-            );
-        }
-    }
+    let mut engine = IpdEngine::new(golden_params()).unwrap();
+    run_offline_instrumented(
+        &mut engine,
+        golden_flows(),
+        SNAPSHOT_EVERY,
+        None,
+        &mut NoopHook,
+        &telemetry,
+        |_| {},
+    );
     telemetry.snapshot()
 }
 
@@ -114,7 +94,7 @@ fn pinned_subset(snap: &MetricsSnapshot) -> Vec<(&'static str, i64)> {
 
 #[test]
 fn golden_metrics_are_bit_for_bit_stable() {
-    let snap = instrumented_run(None);
+    let snap = instrumented_run();
     assert_eq!(
         pinned_subset(&snap),
         GOLDEN_METRICS.to_vec(),
@@ -146,32 +126,11 @@ fn golden_metrics_are_bit_for_bit_stable() {
 }
 
 #[test]
-fn golden_metrics_are_identical_across_runs_and_shard_counts() {
-    let first = instrumented_run(None).deterministic();
-    let second = instrumented_run(None).deterministic();
+fn golden_metrics_are_identical_across_runs() {
+    let first = instrumented_run().deterministic();
+    let second = instrumented_run().deterministic();
     assert_eq!(
         first, second,
         "two identical runs disagreed on deterministic metrics"
     );
-
-    // A sharded run adds per-shard counters but must agree on everything
-    // else, and the shard counters must sum to the flow total.
-    let sharded = instrumented_run(Some(4));
-    assert_eq!(pinned_subset(&sharded), GOLDEN_METRICS.to_vec());
-    let shard_sum: u64 = sharded
-        .samples
-        .iter()
-        .filter(|s| s.name == "ipd_shard_flows_total")
-        .map(|s| match s.value {
-            ipd_suite::telemetry::MetricValue::Counter(v) => v,
-            _ => 0,
-        })
-        .sum();
-    assert_eq!(
-        Some(shard_sum),
-        sharded.counter("ipd_pipeline_flows_total"),
-        "per-shard flow counters must sum to the total"
-    );
-    let sharded2 = instrumented_run(Some(4)).deterministic();
-    assert_eq!(sharded.deterministic(), sharded2);
 }
