@@ -4,7 +4,7 @@
 //! is the single-engine-thread core of it).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ipd::pipeline::{run_offline, IpdPipeline, PipelineConfig};
+use ipd::pipeline::{run_offline, BucketDriver, IpdPipeline, NoopHook, PipelineConfig};
 use ipd::{IpdEngine, IpdParams};
 use ipd_bench::{flow_batch, scaled_factor};
 
@@ -26,19 +26,28 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| {
             let mut engine = IpdEngine::new(params()).unwrap();
             let mut outputs = 0usize;
-            run_offline(&mut engine, flows.iter().cloned(), 5, |_| outputs += 1);
+            run_offline(
+                &mut engine,
+                BucketDriver::new(5),
+                flows.iter().cloned(),
+                &mut NoopHook,
+                |_| outputs += 1,
+            );
             (engine.classified_count(), outputs)
         })
     });
 
     g.bench_function("threaded", |b| {
         b.iter(|| {
-            let pipeline = IpdPipeline::spawn(PipelineConfig {
-                params: params(),
-                channel_capacity: 256,
-                snapshot_every_ticks: 5,
-                ..Default::default()
-            })
+            let pipeline = IpdPipeline::spawn_hooked(
+                PipelineConfig {
+                    params: params(),
+                    channel_capacity: 256,
+                    snapshot_every_ticks: 5,
+                    ..Default::default()
+                },
+                Box::new(NoopHook),
+            )
             .unwrap();
             let tx = pipeline.input();
             let rx = pipeline.output().clone();
@@ -47,7 +56,7 @@ fn bench_pipeline(c: &mut Criterion) {
                 tx.send(chunk.to_vec()).unwrap();
             }
             drop(tx);
-            let (engine, _) = pipeline.finish();
+            let (engine, _, _) = pipeline.finish_hooked();
             let outputs = drain.join().unwrap();
             (engine.classified_count(), outputs)
         })

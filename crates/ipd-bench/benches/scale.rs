@@ -2,9 +2,7 @@
 //! streaming world, and what does stage-1 ingest cost when fed from it?
 //!
 //! These run at the 100k tier so `cargo bench -p ipd-bench --bench scale`
-//! stays interactive; the full-scale trajectory (1M IPv4 + 200k IPv6) is
-//! recorded by the `record_scale` binary into `BENCH_dfz.json` (see
-//! `scripts/record_bench`).
+//! stays interactive.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ipd::{IpdEngine, IpdParams};

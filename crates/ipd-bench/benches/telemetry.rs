@@ -7,8 +7,8 @@
 //! observe, disabled counter inc) so a regression can be localized.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ipd::pipeline::{run_offline_instrumented, NoopHook};
-use ipd::{IpdEngine, IpdParams};
+use ipd::pipeline::{run_offline, BucketDriver, NoopHook};
+use ipd::{CoreTelemetry, IpdEngine, IpdParams};
 use ipd_bench::{flow_batch, scaled_factor};
 use ipd_telemetry::{Class, Telemetry, SIZE_BUCKETS};
 
@@ -29,13 +29,11 @@ fn bench_telemetry(c: &mut Criterion) {
     let run = |telemetry: &Telemetry| {
         let mut engine = IpdEngine::new(params()).unwrap();
         let mut outputs = 0usize;
-        run_offline_instrumented(
+        run_offline(
             &mut engine,
+            BucketDriver::new(5).with_metrics(CoreTelemetry::register(telemetry)),
             flows.iter().cloned(),
-            5,
-            None,
             &mut NoopHook,
-            telemetry,
             |_| outputs += 1,
         );
         (engine.classified_count(), outputs)

@@ -678,11 +678,6 @@ impl<'a> ChurnStream<'a> {
         }
     }
 
-    /// Number of prefixes carrying each process: `(flappers, updowners)`.
-    pub fn churner_counts(&self) -> (usize, usize) {
-        (self.flappers.len(), self.updowners.len())
-    }
-
     fn fill_window(&mut self) {
         let w0 = self.cursor;
         let w1 = (w0 + self.window).min(self.end);

@@ -1,10 +1,9 @@
 //! Routes and per-prefix RIB entries.
 
 use ipd_topology::{IngressPoint, LinkId};
-use serde::{Deserialize, Serialize};
 
 /// One BGP route for a prefix, as learned over one external link.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// The border router and interface the route was learned on — i.e. where
     /// traffic *would egress* if this route is best, and a *candidate*
@@ -37,7 +36,7 @@ impl Route {
 /// 2. shortest AS path
 /// 3. lowest (router, ifindex) — the "lowest router id" tiebreak stands in
 ///    for lowest peer address.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RibEntry {
     routes: Vec<Route>,
 }

@@ -29,10 +29,10 @@ use std::process::ExitCode;
 use args::{ArgError, Args};
 use ipd::output::default_ingress_format;
 use ipd::pipeline::{
-    run_offline_instrumented, run_offline_with, BucketClock, IpdPipeline, NoopHook, PipelineConfig,
-    PipelineHook, PipelineOutput,
+    run_offline, BucketClock, BucketDriver, IpdPipeline, NoopHook, PipelineConfig, PipelineHook,
+    PipelineOutput,
 };
-use ipd::{IpdEngine, IpdParams, Snapshot};
+use ipd::{CoreTelemetry, IpdEngine, IpdParams, Snapshot};
 use ipd_bgp::write_dump;
 use ipd_hist::{EpochImage, HistConfig, HistPublisher, HistStore, HistTelemetry};
 use ipd_lpm::Addr;
@@ -43,7 +43,7 @@ use ipd_serve::{
     ServeTelemetry,
 };
 use ipd_spoof::{
-    run_offline, MapView, RouteExpect, SpoofDetector, SpoofReport, SpoofRunConfig, SpoofTelemetry,
+    MapView, RouteExpect, SpoofDetector, SpoofReport, SpoofRunConfig, SpoofTelemetry,
     VerdictDigest, VerdictRecord,
 };
 use ipd_state::{read_journal, CheckpointStore, Durable, DurableConfig};
@@ -264,13 +264,11 @@ fn engine_over(
     };
     let mut engine = IpdEngine::new(params)?;
     let mut hook = make_hook(args, &engine, telemetry)?;
-    run_offline_instrumented(
+    run_offline(
         &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY_TICKS).with_metrics(CoreTelemetry::register(telemetry)),
         flows.iter().cloned(),
-        SNAPSHOT_EVERY_TICKS,
-        None,
         hook.as_mut(),
-        telemetry,
         &mut capture,
     );
     Ok((engine, last_snapshot))
@@ -432,13 +430,11 @@ fn run_scale(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut engine = IpdEngine::new(params)?;
     let mut hook = make_hook(args, &engine, &telemetry)?;
-    run_offline_instrumented(
+    run_offline(
         &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY_TICKS).with_metrics(CoreTelemetry::register(&telemetry)),
         world.flows(minutes).map(|f| f.flow),
-        SNAPSHOT_EVERY_TICKS,
-        None,
         hook.as_mut(),
-        &telemetry,
         &mut capture,
     );
     let snapshot = last_snapshot.ok_or("scale stream produced no snapshots (zero minutes?)")?;
@@ -508,7 +504,8 @@ fn checkpoint(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 /// it, the final tick closes out the restored state as-is.
 fn restore(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let dir = args.require("dir")?;
-    let restored = ipd_state::restore(Path::new(dir), SNAPSHOT_EVERY_TICKS)?;
+    let restored =
+        ipd_state::restore(Path::new(dir), SNAPSHOT_EVERY_TICKS, &Telemetry::disabled())?;
     eprintln!(
         "restored generation {} from {dir}: {} journal flows replayed{}{}",
         restored.seq,
@@ -548,11 +545,10 @@ fn restore(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     let mut engine = restored.engine;
-    run_offline_with(
+    run_offline(
         &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY_TICKS).with_clock(restored.clock),
         rest,
-        SNAPSHOT_EVERY_TICKS,
-        Some(restored.clock),
         &mut NoopHook,
         &mut capture,
     );
@@ -1097,7 +1093,7 @@ fn spoof(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             snapshot_every_ticks: SNAPSHOT_EVERY_TICKS,
         };
         eprintln!("spoof: offline deployment loop, publishing every bucket close");
-        run_offline(&cfg, &SpoofTelemetry::default())
+        ipd_spoof::run_offline(&cfg, &SpoofTelemetry::default())
     };
     print_spoof_report(&report);
     Ok(())
@@ -1248,11 +1244,10 @@ fn hist_record(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let mut hook = HistPublisher::new(store);
     let mut drive = |params: IpdParams, flows: &mut dyn Iterator<Item = FlowRecord>| {
         let mut engine = IpdEngine::new(params)?;
-        run_offline_with(
+        run_offline(
             &mut engine,
+            BucketDriver::new(SNAPSHOT_EVERY_TICKS),
             flows,
-            SNAPSHOT_EVERY_TICKS,
-            None,
             &mut hook,
             |_| {},
         );

@@ -3,13 +3,12 @@
 use std::fmt;
 
 use ipd_topology::{Bundle, IngressPoint};
-use serde::{Deserialize, Serialize};
 
 use crate::hash::FastMap;
 
 /// Dense interned id for an [`IngressPoint`]. The engine counts per-`u32`
 /// instead of per-struct, which keeps per-range counter maps small and fast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IngressId(pub(crate) u32);
 
 impl IngressId {
@@ -92,7 +91,7 @@ impl IngressRegistry {
 /// *bundle* — several interfaces of one router acting as one logical link
 /// (paper §3.2: "where multiple interfaces of the same router are logically
 /// mapped as one link").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LogicalIngress {
     /// One (router, interface).
     Link(IngressPoint),

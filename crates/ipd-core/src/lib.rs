@@ -76,6 +76,6 @@ mod trie;
 
 pub use engine::{EngineStats, IpdEngine, TickReport};
 pub use ingress::{IngressId, IngressRegistry, LogicalIngress};
-pub use output::{IpdRangeRecord, PrefixChange, ServedRow, Snapshot, SnapshotDiff, StoreDelta};
+pub use output::{IpdRangeRecord, PrefixChange, ServedRow, Snapshot, StoreDelta};
 pub use params::{CountMode, IpdParams, ParamError};
 pub use telemetry::CoreTelemetry;

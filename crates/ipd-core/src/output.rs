@@ -230,82 +230,6 @@ impl Snapshot {
     }
 }
 
-/// Differences between two snapshots — what an operator dashboard renders
-/// (§5.8: IPD "can easily reveal" route changes "e.g., via dashboards").
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SnapshotDiff {
-    /// Ranges classified in `after` but not in `before`.
-    pub appeared: Vec<(Prefix, LogicalIngress)>,
-    /// Ranges classified in `before` but gone (or declassified) in `after`.
-    pub disappeared: Vec<(Prefix, LogicalIngress)>,
-    /// Ranges classified in both but with a different ingress:
-    /// `(range, before, after)`.
-    pub moved: Vec<(Prefix, LogicalIngress, LogicalIngress)>,
-    /// Ranges classified identically in both.
-    pub unchanged: usize,
-}
-
-impl SnapshotDiff {
-    /// Compare the classified populations of two snapshots by exact range.
-    pub fn between(before: &Snapshot, after: &Snapshot) -> SnapshotDiff {
-        let mut old: std::collections::HashMap<Prefix, &LogicalIngress> = before
-            .classified()
-            .filter_map(|r| r.ingress.as_ref().map(|i| (r.range, i)))
-            .collect();
-        let mut diff = SnapshotDiff::default();
-        for r in after.classified() {
-            let Some(new_ing) = r.ingress.as_ref() else {
-                continue;
-            };
-            match old.remove(&r.range) {
-                None => diff.appeared.push((r.range, new_ing.clone())),
-                Some(old_ing) if old_ing == new_ing => diff.unchanged += 1,
-                Some(old_ing) => {
-                    diff.moved.push((r.range, old_ing.clone(), new_ing.clone()));
-                }
-            }
-        }
-        diff.disappeared = old.into_iter().map(|(p, i)| (p, i.clone())).collect();
-        diff.appeared.sort_by_key(|(p, _)| *p);
-        diff.disappeared.sort_by_key(|(p, _)| *p);
-        diff.moved.sort_by_key(|(p, _, _)| *p);
-        diff
-    }
-
-    /// Total number of changes.
-    pub fn change_count(&self) -> usize {
-        self.appeared.len() + self.disappeared.len() + self.moved.len()
-    }
-
-    /// True when the snapshots' classified populations are identical.
-    pub fn is_empty(&self) -> bool {
-        self.change_count() == 0
-    }
-
-    /// Flatten into one per-prefix change list, sorted by prefix — the row
-    /// shape the longitudinal store and the `DiffRange` wire op speak.
-    pub fn changes(&self) -> Vec<PrefixChange> {
-        let mut out: Vec<PrefixChange> = Vec::with_capacity(self.change_count());
-        out.extend(self.appeared.iter().map(|(p, i)| PrefixChange {
-            prefix: *p,
-            before: None,
-            after: Some(i.clone()),
-        }));
-        out.extend(self.disappeared.iter().map(|(p, i)| PrefixChange {
-            prefix: *p,
-            before: Some(i.clone()),
-            after: None,
-        }));
-        out.extend(self.moved.iter().map(|(p, b, a)| PrefixChange {
-            prefix: *p,
-            before: Some(b.clone()),
-            after: Some(a.clone()),
-        }));
-        out.sort_by_key(|c| c.prefix);
-        out
-    }
-}
-
 /// One served row: a classified range, the ingress it was classified to,
 /// and that ingress's share (`s_ingress`) — exactly what a lookup answers.
 pub type ServedRow = (Prefix, LogicalIngress, f64);
@@ -314,12 +238,11 @@ pub type ServedRow = (Prefix, LogicalIngress, f64);
 /// the serving layer must upsert or remove to turn `before`'s lookup table
 /// into `after`'s. It is also the payload of a history delta segment.
 ///
-/// This is deliberately *not* [`SnapshotDiff`]: that is an operator-facing
-/// view keyed on ingress moves only. The serving contract pins every
-/// published answer bit-identical to `snapshot.lpm_table()` *including the
-/// confidence each answer carries*, so a row whose confidence changed while
-/// its ingress stayed put must still be republished — the comparison here is
-/// on the ingress and the confidence's bit pattern.
+/// The serving contract pins every published answer bit-identical to
+/// `snapshot.lpm_table()` *including the confidence each answer carries*, so
+/// a row whose confidence changed while its ingress stayed put must still be
+/// republished — the comparison here is on the ingress and the confidence's
+/// bit pattern.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreDelta {
     /// Rows to insert or overwrite, sorted by prefix.
@@ -482,57 +405,6 @@ mod tests {
         // Empty engine → empty snapshot.
         let empty = IpdEngine::new(IpdParams::default()).unwrap().snapshot(0);
         assert!(empty.records.is_empty());
-    }
-
-    #[test]
-    fn snapshot_diff_tracks_changes() {
-        let e = engine_with_split_space();
-        let before = e.snapshot(61);
-        // Identical snapshots: no changes.
-        let same = SnapshotDiff::between(&before, &before);
-        assert!(same.is_empty());
-        assert_eq!(same.unchanged, 2);
-
-        // Shift the high half to a new ingress and let IPD react: the first
-        // tick invalidates (dominant share diluted), fresh traffic then
-        // re-learns the new ingress.
-        let mut e = engine_with_split_space();
-        for i in 0..3000u32 {
-            e.ingest_parts(
-                120,
-                Addr::v4(0x8000_0000 + i * 1024),
-                IngressPoint::new(9, 9),
-                1,
-            );
-        }
-        e.tick(180); // invalidation (resets per-IP state)
-        for i in 0..3000u32 {
-            e.ingest_parts(
-                185,
-                Addr::v4(0x8000_0000 + i * 1024),
-                IngressPoint::new(9, 9),
-                1,
-            );
-        }
-        e.tick(240); // re-classification from fresh state
-        let after = e.snapshot(240);
-        let diff = SnapshotDiff::between(&before, &after);
-        assert!(!diff.is_empty());
-        let total_refs = diff.unchanged + diff.moved.len() + diff.disappeared.len();
-        assert_eq!(total_refs, before.classified().count());
-        // The low half is untouched.
-        assert!(diff.unchanged >= 1);
-        // The high half either moved to R9.9 or went through a
-        // disappear/appear cycle at finer granularity.
-        let high_moved = diff
-            .moved
-            .iter()
-            .any(|(_, _, new)| new.is_link(IngressPoint::new(9, 9)))
-            || diff
-                .appeared
-                .iter()
-                .any(|(_, ing)| ing.is_link(IngressPoint::new(9, 9)));
-        assert!(high_moved, "diff: {diff:?}");
     }
 
     #[test]

@@ -3,11 +3,10 @@
 use std::fmt;
 
 use ipd_lpm::Af;
-use serde::{Deserialize, Serialize};
 
 /// What the per-range counters count (paper §3.1, design choice 2,
 /// "Optional simplification: Preferring flow counts over byte counts").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CountMode {
     /// Count flow samples (the deployment default: avoids 32-bit byte
     /// counter overflows on high-capacity links; flow and byte counts
@@ -29,7 +28,7 @@ impl CountMode {
 }
 
 /// All IPD knobs. Defaults are the production values of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpdParams {
     /// Maximum IPv4 prefix length (`cidr_max`). Default /28 — "the
     /// collaborating CDN maps its geolocation-distributed data centers to

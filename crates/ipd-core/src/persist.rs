@@ -1,17 +1,17 @@
 //! Plain-data export and rebuild of the complete engine state.
 //!
 //! This is the sans-I/O substrate for checkpointing: [`EngineStateDump`] is
-//! an owned, serialization-friendly mirror of everything an [`IpdEngine`]
-//! holds — params, the ingress intern table, cumulative stats, and both
-//! family tries in preorder. The `ipd-state` crate turns a dump into bytes
+//! an owned, serialization-friendly mirror of everything an
+//! [`IpdEngine`](crate::IpdEngine) holds — params, the ingress intern
+//! table, cumulative stats, and both family tries in preorder. The `ipd-state` crate turns a dump into bytes
 //! and back; this module guarantees the round trip is lossless and
 //! *canonical*: every map is emitted sorted by key, so the same engine state
 //! always produces the same dump regardless of `HashMap` iteration order.
 //!
 //! In both count modes a restored engine is bit-for-bit equivalent to the
 //! original — continuing an interrupted run after
-//! [`IpdEngine::restore_state`] yields `Snapshot::digest()`s identical to an
-//! uninterrupted run. Per-IP weights travel as `f64` but are integers in
+//! [`IpdEngine::restore_state`](crate::IpdEngine::restore_state) yields
+//! `Snapshot::digest()`s identical to an uninterrupted run. Per-IP weights travel as `f64` but are integers in
 //! the engine, so restore rejects any that is not one (and every other
 //! count the engine cannot hold: see [`RestoreError::BadCounts`]), and it
 //! rejects every trie shape the engine cannot build

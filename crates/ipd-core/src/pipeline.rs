@@ -98,16 +98,16 @@ pub trait PipelineHook: Send {
     }
 }
 
-/// The do-nothing hook the unhooked entry points run with.
+/// The do-nothing hook, for runs nothing observes.
 pub struct NoopHook;
 
 impl PipelineHook for NoopHook {}
 
-/// Drives stage-2 ticks from data timestamps. Shared by the offline runner
-/// and the threaded pipeline so both have identical semantics.
+/// Drives stage-2 ticks from data timestamps: the one path the offline
+/// runner, the threaded pipeline and restore's replay all go through. The
+/// bucket length is the `t_secs` of the engine it drives.
 #[derive(Debug)]
 pub struct BucketDriver {
-    t: u64,
     snapshot_every: u32,
     current_bucket: Option<u64>,
     ticks_since_snapshot: u32,
@@ -115,25 +115,28 @@ pub struct BucketDriver {
 }
 
 impl BucketDriver {
-    /// A driver for the given bucket length and snapshot cadence.
-    pub fn new(t_secs: u64, snapshot_every_ticks: u32) -> Self {
-        Self::with_clock(t_secs, snapshot_every_ticks, BucketClock::default())
-    }
-
-    /// A driver resuming from a checkpointed [`BucketClock`]. The cadence
-    /// parameters must match the interrupted run's for tick-exact replay.
-    pub fn with_clock(t_secs: u64, snapshot_every_ticks: u32, clock: BucketClock) -> Self {
+    /// A driver at the start of a stream that emits a periodic snapshot
+    /// every `snapshot_every_ticks` ticks.
+    pub fn new(snapshot_every_ticks: u32) -> Self {
         BucketDriver {
-            t: t_secs.max(1),
             snapshot_every: snapshot_every_ticks.max(1),
-            current_bucket: clock.current_bucket,
-            ticks_since_snapshot: clock.ticks_since_snapshot,
+            current_bucket: None,
+            ticks_since_snapshot: 0,
             metrics: CoreTelemetry::default(),
         }
     }
 
-    /// Attach metric handles: tick counters, stage-2 timing, and post-tick
-    /// state gauges are recorded by this driver. Purely observational.
+    /// Resume from a checkpointed [`BucketClock`]. The snapshot cadence
+    /// must match the interrupted run's for tick-exact replay.
+    pub fn with_clock(mut self, clock: BucketClock) -> Self {
+        self.current_bucket = clock.current_bucket;
+        self.ticks_since_snapshot = clock.ticks_since_snapshot;
+        self
+    }
+
+    /// Attach metric handles: flow and tick counters, the ingest
+    /// watermark, stage-2 timing, and post-tick state gauges are recorded
+    /// by this driver. Purely observational.
     pub fn with_metrics(mut self, metrics: CoreTelemetry) -> Self {
         self.metrics = metrics;
         self
@@ -148,26 +151,17 @@ impl BucketDriver {
     }
 
     /// Observe the timestamp of the next flow *before* ingesting it; fires
-    /// any due ticks (one per crossed bucket, so decay sees every cycle).
+    /// any due ticks (one per crossed bucket, so decay sees every cycle),
+    /// then tells `hook` the bucket boundary was crossed.
     pub fn observe<F: FnMut(PipelineOutput)>(
-        &mut self,
-        engine: &mut IpdEngine,
-        ts: u64,
-        out: &mut F,
-    ) {
-        self.observe_with(engine, ts, out, &mut NoopHook);
-    }
-
-    /// [`BucketDriver::observe`] with a [`PipelineHook`] that is told about
-    /// boundary crossings (after their ticks fired).
-    pub fn observe_with<F: FnMut(PipelineOutput)>(
         &mut self,
         engine: &mut IpdEngine,
         ts: u64,
         out: &mut F,
         hook: &mut dyn PipelineHook,
     ) {
-        let bucket = ts / self.t;
+        let t = engine.params().t_secs;
+        let bucket = ts / t;
         let Some(current) = self.current_bucket else {
             self.current_bucket = Some(bucket);
             return;
@@ -176,7 +170,7 @@ impl BucketDriver {
             return; // same bucket, or late data: no tick due
         }
         for b in current..bucket {
-            self.fire(engine, (b + 1) * self.t, out);
+            self.fire(engine, (b + 1) * t, out);
         }
         self.current_bucket = Some(bucket);
         hook.bucket_crossed(engine, self.clock());
@@ -184,33 +178,22 @@ impl BucketDriver {
 
     /// Observe *and ingest* a whole batch: due ticks still fire exactly at
     /// bucket boundaries inside the batch, while each maximal run of flows
-    /// between boundaries goes through the engine's batch path. Per-flow, this is the same observe-then-ingest sequence
-    /// [`run_offline`] performs.
+    /// between boundaries goes to [`PipelineHook::flows`] and then through
+    /// the engine's batch path. A boundary crossing mid-batch therefore
+    /// sees the preceding run applied and the following run not yet
+    /// journaled: per flow, the same observe-then-ingest sequence.
     pub fn ingest_batch<F: FnMut(PipelineOutput)>(
-        &mut self,
-        engine: &mut IpdEngine,
-        batch: &[FlowRecord],
-        out: &mut F,
-    ) {
-        self.ingest_batch_with(engine, batch, out, &mut NoopHook);
-    }
-
-    /// [`BucketDriver::ingest_batch`] with a [`PipelineHook`]: every run of
-    /// flows between boundaries goes to [`PipelineHook::flows`] immediately
-    /// before it is ingested, so a boundary crossing mid-batch sees the
-    /// preceding run applied and the following run not yet journaled —
-    /// the same order the per-flow path produces.
-    pub fn ingest_batch_with<F: FnMut(PipelineOutput)>(
         &mut self,
         engine: &mut IpdEngine,
         batch: &[FlowRecord],
         out: &mut F,
         hook: &mut dyn PipelineHook,
     ) {
+        let t = engine.params().t_secs;
         let mut start = 0;
         for (i, flow) in batch.iter().enumerate() {
             let due = match self.current_bucket {
-                Some(current) => flow.ts / self.t > current,
+                Some(current) => flow.ts / t > current,
                 None => false,
             };
             if due {
@@ -218,22 +201,34 @@ impl BucketDriver {
                 engine.ingest_batch(&batch[start..i]);
                 start = i;
             }
-            self.observe_with(engine, flow.ts, out, hook);
+            self.observe(engine, flow.ts, out, hook);
         }
         hook.flows(&batch[start..]);
         engine.ingest_batch(&batch[start..]);
         self.metrics.flows.add(batch.len() as u64);
+        if let Some(last) = batch.last() {
+            self.metrics.ingest_watermark.record(last.ts);
+        }
     }
 
-    /// Fire the final tick and snapshot at end of stream.
-    pub fn finish<F: FnMut(PipelineOutput)>(&mut self, engine: &mut IpdEngine, out: &mut F) {
+    /// End of stream: tell `hook` the stream [`finished`](PipelineHook::finished),
+    /// fire the final tick and snapshot, then tell it the run
+    /// [`closed`](PipelineHook::closed).
+    pub fn finish<F: FnMut(PipelineOutput)>(
+        self,
+        engine: &mut IpdEngine,
+        out: &mut F,
+        hook: &mut dyn PipelineHook,
+    ) {
+        hook.finished(engine, self.clock());
         if let Some(current) = self.current_bucket {
-            let now = (current + 1) * self.t;
+            let now = (current + 1) * engine.params().t_secs;
             let report = self.timed_tick(engine, now);
             self.metrics.record_tick(&report, engine, now);
             out(PipelineOutput::Tick(report));
             out(PipelineOutput::Snapshot(engine.snapshot(now)));
         }
+        hook.closed(engine, self.clock());
     }
 
     fn fire<F: FnMut(PipelineOutput)>(&mut self, engine: &mut IpdEngine, now: u64, out: &mut F) {
@@ -256,126 +251,43 @@ impl BucketDriver {
     }
 }
 
-/// Run IPD over an in-memory, time-ordered flow stream. Ticks fire at bucket
-/// boundaries; `on_output` receives every tick report and snapshot,
-/// including the final end-of-stream snapshot.
-pub fn run_offline<I, F>(engine: &mut IpdEngine, flows: I, snapshot_every_ticks: u32, on_output: F)
-where
-    I: IntoIterator<Item = FlowRecord>,
-    F: FnMut(PipelineOutput),
-{
-    run_offline_with(
-        engine,
-        flows,
-        snapshot_every_ticks,
-        None,
-        &mut NoopHook,
-        on_output,
-    );
-}
+/// Flows per [`BucketDriver::ingest_batch`] call in [`run_offline`].
+const OFFLINE_BATCH: usize = 4096;
 
-/// [`run_offline`] with a [`PipelineHook`] and an optional starting
-/// [`BucketClock`] (pass the clock a restore returned to resume an
-/// interrupted run mid-stream). The hook's
-/// [`finished`](PipelineHook::finished) fires before the final tick.
-pub fn run_offline_with<I, F>(
+/// Run IPD over an in-memory, time-ordered flow stream through `driver`,
+/// which carries the snapshot cadence, the clock to resume from and the
+/// metrics. Stage 1 and the end of stream go the same way as in the
+/// threaded [`IpdPipeline`]. `on_output` receives every tick report and
+/// snapshot, including the final end-of-stream snapshot.
+pub fn run_offline<I, F>(
     engine: &mut IpdEngine,
+    mut driver: BucketDriver,
     flows: I,
-    snapshot_every_ticks: u32,
-    clock: Option<BucketClock>,
     hook: &mut dyn PipelineHook,
     mut on_output: F,
 ) where
     I: IntoIterator<Item = FlowRecord>,
     F: FnMut(PipelineOutput),
 {
-    let mut driver = BucketDriver::with_clock(
-        engine.params().t_secs,
-        snapshot_every_ticks,
-        clock.unwrap_or_default(),
-    );
-    for flow in flows {
-        driver.observe_with(engine, flow.ts, &mut on_output, hook);
-        hook.flows(std::slice::from_ref(&flow));
-        engine.ingest(&flow);
-    }
-    hook.finished(engine, driver.clock());
-    driver.finish(engine, &mut on_output);
-    hook.closed(engine, driver.clock());
-}
-
-/// [`run_offline_with`] reporting into a [`Telemetry`] registry: flow and
-/// tick counters, stage-2 timing, and post-tick state gauges. With a
-/// disabled registry this is exactly [`run_offline_with`] (the handles are
-/// no-ops), and even with a live one the engine output is bit-for-bit
-/// unchanged — telemetry never feeds back.
-pub fn run_offline_instrumented<I, F>(
-    engine: &mut IpdEngine,
-    flows: I,
-    snapshot_every_ticks: u32,
-    clock: Option<BucketClock>,
-    hook: &mut dyn PipelineHook,
-    telemetry: &Telemetry,
-    mut on_output: F,
-) where
-    I: IntoIterator<Item = FlowRecord>,
-    F: FnMut(PipelineOutput),
-{
-    let metrics = CoreTelemetry::register(telemetry);
-    let mut driver = BucketDriver::with_clock(
-        engine.params().t_secs,
-        snapshot_every_ticks,
-        clock.unwrap_or_default(),
-    )
-    .with_metrics(metrics.clone());
-    for flow in flows {
-        driver.observe_with(engine, flow.ts, &mut on_output, hook);
-        hook.flows(std::slice::from_ref(&flow));
-        engine.ingest(&flow);
-        metrics.flows.inc();
-        metrics.ingest_watermark.record(flow.ts);
-    }
-    hook.finished(engine, driver.clock());
-    driver.finish(engine, &mut on_output);
-    hook.closed(engine, driver.clock());
-}
-
-/// Feed a flow source — typically a streaming generator that never
-/// materializes the full trace — into a pipeline input in bounded batches.
-///
-/// Memory held here is one `batch_size` buffer regardless of stream length;
-/// the pipeline's bounded channel provides backpressure. Returns the number
-/// of flows sent, stopping early if the consuming side hung up.
-pub fn pump_stream<I>(input: &Sender<Vec<FlowRecord>>, flows: I, batch_size: usize) -> u64
-where
-    I: IntoIterator<Item = FlowRecord>,
-{
-    let batch_size = batch_size.max(1);
-    let mut sent = 0u64;
-    let mut buf = Vec::with_capacity(batch_size);
-    for flow in flows {
-        buf.push(flow);
-        if buf.len() == batch_size {
-            let full = std::mem::replace(&mut buf, Vec::with_capacity(batch_size));
-            sent += full.len() as u64;
-            if input.send(full).is_err() {
-                return sent;
-            }
+    let mut flows = flows.into_iter();
+    let mut batch = Vec::with_capacity(OFFLINE_BATCH);
+    loop {
+        batch.clear();
+        batch.extend(flows.by_ref().take(OFFLINE_BATCH));
+        if batch.is_empty() {
+            break;
         }
+        driver.ingest_batch(engine, &batch, &mut on_output, hook);
     }
-    if !buf.is_empty() {
-        sent += buf.len() as u64;
-        let _ = input.send(buf);
-    }
-    sent
+    driver.finish(engine, &mut on_output, hook);
 }
 
 /// Handle to a running threaded pipeline.
 ///
 /// Feed batches of flows through [`IpdPipeline::input`]; consume
 /// [`PipelineOutput`]s from [`IpdPipeline::output`]; call
-/// [`IpdPipeline::finish`] to close the input, drain, and get the engine
-/// back.
+/// [`IpdPipeline::finish_hooked`] to close the input, drain, and get the
+/// engine back.
 pub struct IpdPipeline {
     input: Sender<Vec<FlowRecord>>,
     output: Receiver<PipelineOutput>,
@@ -384,14 +296,9 @@ pub struct IpdPipeline {
 }
 
 impl IpdPipeline {
-    /// Spawn the engine thread.
-    pub fn spawn(config: PipelineConfig) -> Result<Self, crate::params::ParamError> {
-        Self::spawn_hooked(config, Box::new(NoopHook))
-    }
-
     /// Spawn the engine thread with a [`PipelineHook`] riding on the driver
-    /// (e.g. a checkpointer). The hook lives on the engine thread and is
-    /// handed back by [`IpdPipeline::finish_hooked`].
+    /// (e.g. a checkpointer, or [`NoopHook`]). The hook lives on the engine
+    /// thread and is handed back by [`IpdPipeline::finish_hooked`].
     pub fn spawn_hooked(
         config: PipelineConfig,
         hook: Box<dyn PipelineHook>,
@@ -406,10 +313,9 @@ impl IpdPipeline {
             .spawn(move || {
                 let mut engine = engine;
                 let mut hook = hook;
-                let mut driver = BucketDriver::new(engine.params().t_secs, snapshot_every)
-                    .with_metrics(metrics.clone());
+                let mut driver = BucketDriver::new(snapshot_every).with_metrics(metrics.clone());
                 // If the consumer goes away we keep processing; IPD state is
-                // still useful when handed back by finish().
+                // still useful when handed back by finish_hooked().
                 let mut emit = |o: PipelineOutput| {
                     let _ = out_tx.send(o);
                 };
@@ -417,14 +323,9 @@ impl IpdPipeline {
                     metrics.batches.inc();
                     metrics.batch_size.observe(batch.len() as u64);
                     metrics.channel_depth.set(in_rx.len() as i64);
-                    driver.ingest_batch_with(&mut engine, &batch, &mut emit, hook.as_mut());
-                    if let Some(last) = batch.last() {
-                        metrics.ingest_watermark.record(last.ts);
-                    }
+                    driver.ingest_batch(&mut engine, &batch, &mut emit, hook.as_mut());
                 }
-                hook.finished(&engine, driver.clock());
-                driver.finish(&mut engine, &mut emit);
-                hook.closed(&engine, driver.clock());
+                driver.finish(&mut engine, &mut emit, hook.as_mut());
                 (engine, hook)
             })
             .expect("spawning the engine thread");
@@ -446,26 +347,19 @@ impl IpdPipeline {
     /// Taking this receiver makes the caller the output consumer: drain it
     /// until it disconnects (the output channel is bounded, and the engine
     /// thread blocks on it for backpressure). If it is never taken,
-    /// [`IpdPipeline::finish`] consumes the stream itself and returns it
-    /// whole.
+    /// [`IpdPipeline::finish_hooked`] consumes the stream itself and
+    /// returns it whole.
     pub fn output(&self) -> &Receiver<PipelineOutput> {
         self.output_taken
             .store(true, std::sync::atomic::Ordering::Relaxed);
         &self.output
     }
 
-    /// Close the input, wait for the engine thread, and return the engine
-    /// plus the run's outputs: all of them if [`IpdPipeline::output`] was
-    /// never taken, otherwise none (the consumer that took it receives
-    /// every output).
-    pub fn finish(self) -> (IpdEngine, Vec<PipelineOutput>) {
-        let (engine, _, leftover) = self.finish_hooked();
-        (engine, leftover)
-    }
-
-    /// [`IpdPipeline::finish`], also handing back the hook passed to
-    /// [`IpdPipeline::spawn_hooked`] (after its
-    /// [`finished`](PipelineHook::finished) callback ran).
+    /// Close the input, wait for the engine thread, and return the engine,
+    /// the hook passed to [`IpdPipeline::spawn_hooked`] (after its
+    /// [`closed`](PipelineHook::closed) callback ran), and the run's
+    /// outputs: all of them if [`IpdPipeline::output`] was never taken,
+    /// otherwise none (the consumer that took it receives every output).
     pub fn finish_hooked(self) -> (IpdEngine, Box<dyn PipelineHook>, Vec<PipelineOutput>) {
         drop(self.input);
         // The output channel is bounded, so an engine thread flushing its
@@ -522,6 +416,7 @@ mod tests {
     use ipd_lpm::Addr;
     use ipd_netflow::v5::V5Exporter;
     use ipd_topology::IngressPoint;
+    use std::sync::{Arc, Mutex};
 
     fn test_params() -> IpdParams {
         IpdParams {
@@ -551,10 +446,16 @@ mod tests {
         let mut engine = IpdEngine::new(test_params()).unwrap();
         let mut ticks = 0;
         let mut snapshots = Vec::new();
-        run_offline(&mut engine, flows_two_halves(200, 10), 5, |o| match o {
-            PipelineOutput::Tick(_) => ticks += 1,
-            PipelineOutput::Snapshot(s) => snapshots.push(s),
-        });
+        run_offline(
+            &mut engine,
+            BucketDriver::new(5),
+            flows_two_halves(200, 10),
+            &mut NoopHook,
+            |o| match o {
+                PipelineOutput::Tick(_) => ticks += 1,
+                PipelineOutput::Snapshot(s) => snapshots.push(s),
+            },
+        );
         assert_eq!(ticks, 10, "one tick per crossed bucket + final");
         assert!(!snapshots.is_empty());
         let last = snapshots.last().unwrap();
@@ -571,52 +472,131 @@ mod tests {
             .is_link(IngressPoint::new(2, 1)));
     }
 
+    /// One [`PipelineHook`] callback as [`HookLog`] records it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum HookEvent {
+        Flows(usize),
+        Crossed(BucketClock),
+        Finished(BucketClock),
+        Closed(BucketClock),
+    }
+
+    /// Logs every callback. Consecutive `flows` calls merge into one count,
+    /// so drivers that batch differently log the same sequence.
+    #[derive(Clone, Default)]
+    struct HookLog(Arc<Mutex<Vec<HookEvent>>>);
+
+    impl HookLog {
+        fn events(&self) -> Vec<HookEvent> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl PipelineHook for HookLog {
+        fn flows(&mut self, flows: &[FlowRecord]) {
+            let mut log = self.0.lock().unwrap();
+            match log.last_mut() {
+                Some(HookEvent::Flows(n)) => *n += flows.len(),
+                _ => log.push(HookEvent::Flows(flows.len())),
+            }
+        }
+        fn bucket_crossed(&mut self, _: &IpdEngine, clock: BucketClock) {
+            self.0.lock().unwrap().push(HookEvent::Crossed(clock));
+        }
+        fn finished(&mut self, _: &IpdEngine, clock: BucketClock) {
+            self.0.lock().unwrap().push(HookEvent::Finished(clock));
+        }
+        fn closed(&mut self, _: &IpdEngine, clock: BucketClock) {
+            self.0.lock().unwrap().push(HookEvent::Closed(clock));
+        }
+    }
+
+    /// Every driver produces the same outputs and the same hook sequence:
+    /// the batched offline runner, the threaded pipeline at several batch
+    /// sizes, and a per-flow loop of observe, journal, ingest. Durable
+    /// state journals and checkpoints on these callbacks.
     #[test]
     fn threaded_pipeline_matches_offline() {
         let flows = flows_two_halves(100, 6);
         // Offline reference.
         let mut ref_engine = IpdEngine::new(test_params()).unwrap();
         let mut ref_outputs = Vec::new();
-        run_offline(&mut ref_engine, flows.clone(), 2, |o| ref_outputs.push(o));
+        let ref_log = HookLog::default();
+        run_offline(
+            &mut ref_engine,
+            BucketDriver::new(2),
+            flows.clone(),
+            &mut ref_log.clone(),
+            |o| ref_outputs.push(o),
+        );
+        let want = ref_log.events();
+        let crossings = want
+            .iter()
+            .filter(|e| matches!(e, HookEvent::Crossed(_)))
+            .count();
+        assert_eq!(crossings, 5, "six minutes cross five boundaries");
+        let logged: usize = want
+            .iter()
+            .map(|e| match e {
+                HookEvent::Flows(n) => *n,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(logged, flows.len());
+        assert!(matches!(
+            want[want.len() - 2..],
+            [HookEvent::Finished(_), HookEvent::Closed(_)]
+        ));
 
-        // Threaded run with the same data.
-        let pipeline = IpdPipeline::spawn(PipelineConfig {
-            params: test_params(),
-            channel_capacity: 16,
-            snapshot_every_ticks: 2,
-            ..Default::default()
-        })
-        .unwrap();
-        let tx = pipeline.input();
-        for chunk in flows.chunks(97) {
-            tx.send(chunk.to_vec()).unwrap();
+        // One flow at a time.
+        let mut engine = IpdEngine::new(test_params()).unwrap();
+        let mut driver = BucketDriver::new(2);
+        let mut per_flow = HookLog::default();
+        for flow in &flows {
+            driver.observe(&mut engine, flow.ts, &mut |_| {}, &mut per_flow);
+            per_flow.flows(std::slice::from_ref(flow));
+            engine.ingest(flow);
         }
-        drop(tx);
-        let mut outputs: Vec<PipelineOutput> = Vec::new();
-        // Drain the live output until the engine thread finishes.
-        let (engine, leftover) = {
+        driver.finish(&mut engine, &mut |_| {}, &mut per_flow);
+        assert_eq!(per_flow.events(), want, "per-flow hook sequence");
+        assert_eq!(engine.stats(), ref_engine.stats());
+
+        // Threaded runs with the same data.
+        for batch in [1, 97, 4096] {
+            let log = HookLog::default();
+            let pipeline = IpdPipeline::spawn_hooked(
+                PipelineConfig {
+                    params: test_params(),
+                    channel_capacity: 16,
+                    snapshot_every_ticks: 2,
+                    ..Default::default()
+                },
+                Box::new(log.clone()),
+            )
+            .unwrap();
+            let tx = pipeline.input();
             // Collect concurrently to avoid backpressure deadlock.
             let rx = pipeline.output().clone();
             let drainer = std::thread::spawn(move || rx.iter().collect::<Vec<_>>());
-            let (engine, leftover) = pipeline.finish();
-            outputs.extend(drainer.join().unwrap());
-            (engine, leftover)
-        };
-        outputs.extend(leftover);
+            for chunk in flows.chunks(batch) {
+                tx.send(chunk.to_vec()).unwrap();
+            }
+            drop(tx);
+            let (engine, _, leftover) = pipeline.finish_hooked();
+            assert!(leftover.is_empty());
+            let outputs = drainer.join().unwrap();
 
-        assert_eq!(
-            engine.stats().flows_ingested,
-            ref_engine.stats().flows_ingested
-        );
-        assert_eq!(engine.stats().ticks, ref_engine.stats().ticks);
-        assert_eq!(engine.classified_count(), ref_engine.classified_count());
-        // Same number and kinds of outputs in the same order.
-        let kinds = |v: &[PipelineOutput]| -> Vec<bool> {
-            v.iter()
-                .map(|o| matches!(o, PipelineOutput::Snapshot(_)))
-                .collect()
-        };
-        assert_eq!(kinds(&outputs), kinds(&ref_outputs));
+            assert_eq!(engine.stats(), ref_engine.stats(), "batch {batch}");
+            assert_eq!(engine.classified_count(), ref_engine.classified_count());
+            // Same number and kinds of outputs in the same order.
+            let kinds = |v: &[PipelineOutput]| -> Vec<bool> {
+                v.iter()
+                    .map(|o| matches!(o, PipelineOutput::Snapshot(_)))
+                    .collect()
+            };
+            assert_eq!(kinds(&outputs), kinds(&ref_outputs), "batch {batch}");
+            assert_eq!(log.events(), want, "batch {batch} hook sequence");
+        }
     }
 
     /// A consumer that took the output receives the whole stream, in
@@ -632,14 +612,23 @@ mod tests {
         };
         let mut ref_engine = IpdEngine::new(test_params()).unwrap();
         let mut want = Vec::new();
-        run_offline(&mut ref_engine, flows.clone(), 1, |o| want.push(key(&o)));
+        run_offline(
+            &mut ref_engine,
+            BucketDriver::new(1),
+            flows.clone(),
+            &mut NoopHook,
+            |o| want.push(key(&o)),
+        );
 
-        let pipeline = IpdPipeline::spawn(PipelineConfig {
-            params: test_params(),
-            channel_capacity: 4,
-            snapshot_every_ticks: 1,
-            ..Default::default()
-        })
+        let pipeline = IpdPipeline::spawn_hooked(
+            PipelineConfig {
+                params: test_params(),
+                channel_capacity: 4,
+                snapshot_every_ticks: 1,
+                ..Default::default()
+            },
+            Box::new(NoopHook),
+        )
         .unwrap();
         let rx = pipeline.output().clone();
         // Slow enough that the engine thread has exited, with outputs
@@ -657,7 +646,7 @@ mod tests {
             tx.send(chunk.to_vec()).unwrap();
         }
         drop(tx);
-        let (_, leftover) = pipeline.finish();
+        let (_, _, leftover) = pipeline.finish_hooked();
         assert!(leftover.is_empty(), "finish read a taken output channel");
         assert_eq!(drainer.join().unwrap(), want);
     }
@@ -687,7 +676,7 @@ mod tests {
     #[test]
     fn late_data_does_not_rewind_ticks() {
         let mut engine = IpdEngine::new(test_params()).unwrap();
-        let mut driver = BucketDriver::new(60, 1000);
+        let mut driver = BucketDriver::new(1000);
         let mut ticks = Vec::new();
         let mut out = |o: PipelineOutput| {
             if let PipelineOutput::Tick(t) = o {
@@ -695,18 +684,22 @@ mod tests {
             }
         };
         for ts in [10u64, 70, 65, 130, 50, 200] {
-            driver.observe(&mut engine, ts, &mut out);
+            driver.observe(&mut engine, ts, &mut out, &mut NoopHook);
             engine.ingest_parts(ts, Addr::v4(1), IngressPoint::new(1, 1), 1);
         }
-        driver.finish(&mut engine, &mut out);
+        driver.finish(&mut engine, &mut out, &mut NoopHook);
         // Buckets crossed: 0→1 (tick @60), 1→2 (@120), 2→3 (@180), final (@240).
         assert_eq!(ticks, vec![60, 120, 180, 240]);
     }
 
     #[test]
     fn one_second_buckets_tick_every_second() {
-        let mut engine = IpdEngine::new(test_params()).unwrap();
-        let mut driver = BucketDriver::new(1, 1000);
+        let mut engine = IpdEngine::new(IpdParams {
+            t_secs: 1,
+            ..test_params()
+        })
+        .unwrap();
+        let mut driver = BucketDriver::new(1000);
         let mut ticks = Vec::new();
         let mut out = |o: PipelineOutput| {
             if let PipelineOutput::Tick(t) = o {
@@ -714,10 +707,10 @@ mod tests {
             }
         };
         for ts in [0u64, 1, 3, 3, 4] {
-            driver.observe(&mut engine, ts, &mut out);
+            driver.observe(&mut engine, ts, &mut out, &mut NoopHook);
             engine.ingest_parts(ts, Addr::v4(ts as u32), IngressPoint::new(1, 1), 1);
         }
-        driver.finish(&mut engine, &mut out);
+        driver.finish(&mut engine, &mut out, &mut NoopHook);
         // Every crossed 1-second boundary ticks exactly once, including both
         // seconds of the 1→3 jump; the final tick closes bucket 4.
         assert_eq!(ticks, vec![1, 2, 3, 4, 5]);
@@ -726,7 +719,7 @@ mod tests {
     #[test]
     fn duplicate_timestamps_at_bucket_boundary_tick_once() {
         let mut engine = IpdEngine::new(test_params()).unwrap();
-        let mut driver = BucketDriver::new(60, 1000);
+        let mut driver = BucketDriver::new(1000);
         let mut ticks = Vec::new();
         let mut out = |o: PipelineOutput| {
             if let PipelineOutput::Tick(t) = o {
@@ -736,7 +729,7 @@ mod tests {
         // Several flows stamped exactly at the boundary must fire the tick
         // for the crossed bucket once, not once per duplicate.
         for ts in [59u64, 60, 60, 60, 61] {
-            driver.observe(&mut engine, ts, &mut out);
+            driver.observe(&mut engine, ts, &mut out, &mut NoopHook);
         }
         assert_eq!(ticks, vec![60]);
     }
@@ -744,7 +737,7 @@ mod tests {
     #[test]
     fn backward_multi_bucket_jump_never_rewinds() {
         let mut engine = IpdEngine::new(test_params()).unwrap();
-        let mut driver = BucketDriver::new(60, 1000);
+        let mut driver = BucketDriver::new(1000);
         let mut ticks = Vec::new();
         let mut out = |o: PipelineOutput| {
             if let PipelineOutput::Tick(t) = o {
@@ -755,10 +748,10 @@ mod tests {
         // the stragglers are ingested but fire nothing, and the next
         // forward crossing resumes from the *maximum* bucket seen.
         for ts in [310u64, 60, 0, 250, 311] {
-            driver.observe(&mut engine, ts, &mut out);
+            driver.observe(&mut engine, ts, &mut out, &mut NoopHook);
             engine.ingest_parts(ts, Addr::v4(7), IngressPoint::new(1, 1), 1);
         }
-        driver.observe(&mut engine, 370, &mut out);
+        driver.observe(&mut engine, 370, &mut out, &mut NoopHook);
         // Nothing fired for the backward jumps; the forward crossing resumes
         // from the maximum bucket with a single tick.
         assert_eq!(
@@ -779,7 +772,7 @@ mod tests {
             .collect();
 
         let mut ref_engine = IpdEngine::new(test_params()).unwrap();
-        let mut ref_driver = BucketDriver::new(60, 1000);
+        let mut ref_driver = BucketDriver::new(1000);
         let mut ref_ticks = Vec::new();
         let mut ref_out = |o: PipelineOutput| {
             if let PipelineOutput::Tick(t) = o {
@@ -787,19 +780,19 @@ mod tests {
             }
         };
         for f in &flows {
-            ref_driver.observe(&mut ref_engine, f.ts, &mut ref_out);
+            ref_driver.observe(&mut ref_engine, f.ts, &mut ref_out, &mut NoopHook);
             ref_engine.ingest(f);
         }
 
         let mut engine = IpdEngine::new(test_params()).unwrap();
-        let mut driver = BucketDriver::new(60, 1000);
+        let mut driver = BucketDriver::new(1000);
         let mut ticks = Vec::new();
         let mut out = |o: PipelineOutput| {
             if let PipelineOutput::Tick(t) = o {
                 ticks.push(t.now);
             }
         };
-        driver.ingest_batch(&mut engine, &flows, &mut out);
+        driver.ingest_batch(&mut engine, &flows, &mut out, &mut NoopHook);
 
         assert_eq!(ticks, ref_ticks);
         assert_eq!(engine.stats(), ref_engine.stats());
@@ -849,15 +842,15 @@ mod tests {
     #[test]
     fn gap_in_stream_fires_intermediate_ticks_for_decay() {
         let mut engine = IpdEngine::new(test_params()).unwrap();
-        let mut driver = BucketDriver::new(60, 1000);
+        let mut driver = BucketDriver::new(1000);
         let mut n = 0;
         let mut out = |o: PipelineOutput| {
             if matches!(o, PipelineOutput::Tick(_)) {
                 n += 1;
             }
         };
-        driver.observe(&mut engine, 30, &mut out);
-        driver.observe(&mut engine, 630, &mut out);
+        driver.observe(&mut engine, 30, &mut out, &mut NoopHook);
+        driver.observe(&mut engine, 630, &mut out, &mut NoopHook);
         assert_eq!(n, 10, "a 10-bucket gap fires 10 ticks");
     }
 }

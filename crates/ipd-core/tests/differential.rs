@@ -1,12 +1,14 @@
-//! Differential-equivalence harness for the engine's two drivers.
+//! Differential-equivalence harness for the engine's drivers.
 //!
-//! Every seeded flow stream is pushed through both —
+//! Every seeded flow stream is pushed through —
 //!
-//! 1. `run_offline` over [`IpdEngine`] (per-flow ingest; the reference),
-//! 2. the threaded [`IpdPipeline`] (one engine thread, channel-fed,
+//! 1. a per-flow loop of [`BucketDriver::observe`] then
+//!    [`IpdEngine::ingest`] (the reference),
+//! 2. `run_offline` (batched ingest),
+//! 3. the threaded [`IpdPipeline`] (one engine thread, channel-fed,
 //!    batched ingest)
 //!
-//! — and both runs must produce the identical classified prefix→ingress
+//! — and every run must produce the identical classified prefix→ingress
 //! set, identical cumulative [`EngineStats`], identical tick reports, and
 //! bit-for-bit identical snapshot digests. The property tests run it in
 //! both count modes, with byte counts drawn from the edges of the `u32`
@@ -19,10 +21,11 @@
 
 use ipd::output::Snapshot;
 use ipd::pipeline::{
-    run_offline, run_offline_instrumented, IpdPipeline, NoopHook, PipelineConfig, PipelineOutput,
+    run_offline, BucketDriver, IpdPipeline, NoopHook, PipelineConfig, PipelineOutput,
 };
 use ipd::{
-    CountMode, EngineStats, IpdEngine, IpdParams, LogicalIngress, ServedRow, StoreDelta, TickReport,
+    CoreTelemetry, CountMode, EngineStats, IpdEngine, IpdParams, LogicalIngress, ServedRow,
+    StoreDelta, TickReport,
 };
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
@@ -98,23 +101,46 @@ fn summarize(
     }
 }
 
+/// The reference drives one flow at a time: observe its timestamp, then
+/// ingest it.
 fn reference_run(flows: &[FlowRecord], params: &IpdParams) -> RunResult {
     let mut engine = IpdEngine::new(params.clone()).unwrap();
     let mut outputs = Vec::new();
-    run_offline(&mut engine, flows.iter().cloned(), SNAPSHOT_EVERY, |o| {
-        outputs.push(o)
-    });
+    let mut out = |o| outputs.push(o);
+    let mut driver = BucketDriver::new(SNAPSHOT_EVERY);
+    for flow in flows {
+        driver.observe(&mut engine, flow.ts, &mut out, &mut NoopHook);
+        engine.ingest(flow);
+    }
+    driver.finish(&mut engine, &mut out, &mut NoopHook);
+    let snap = engine.snapshot(u64::MAX);
+    summarize(engine.stats().clone(), outputs, snap)
+}
+
+fn offline_run(flows: &[FlowRecord], params: &IpdParams, driver: BucketDriver) -> RunResult {
+    let mut engine = IpdEngine::new(params.clone()).unwrap();
+    let mut outputs = Vec::new();
+    run_offline(
+        &mut engine,
+        driver,
+        flows.iter().cloned(),
+        &mut NoopHook,
+        |o| outputs.push(o),
+    );
     let snap = engine.snapshot(u64::MAX);
     summarize(engine.stats().clone(), outputs, snap)
 }
 
 fn threaded_run(flows: &[FlowRecord], params: &IpdParams, batch: usize) -> RunResult {
-    let pipeline = IpdPipeline::spawn(PipelineConfig {
-        params: params.clone(),
-        channel_capacity: 8,
-        snapshot_every_ticks: SNAPSHOT_EVERY,
-        ..Default::default()
-    })
+    let pipeline = IpdPipeline::spawn_hooked(
+        PipelineConfig {
+            params: params.clone(),
+            channel_capacity: 8,
+            snapshot_every_ticks: SNAPSHOT_EVERY,
+            ..Default::default()
+        },
+        Box::new(NoopHook),
+    )
     .unwrap();
     let tx = pipeline.input();
     let rx = pipeline.output().clone();
@@ -123,17 +149,19 @@ fn threaded_run(flows: &[FlowRecord], params: &IpdParams, batch: usize) -> RunRe
         tx.send(chunk.to_vec()).unwrap();
     }
     drop(tx);
-    let (engine, leftover) = pipeline.finish();
+    let (engine, _, leftover) = pipeline.finish_hooked();
     let mut outputs = drain.join().unwrap();
     outputs.extend(leftover);
     let snap = engine.snapshot(u64::MAX);
     summarize(engine.stats().clone(), outputs, snap)
 }
 
-/// Assert full equivalence of both drivers on one stream.
+/// Assert full equivalence of every driver on one stream.
 fn assert_all_equivalent(flows: &[FlowRecord], params: &IpdParams, batch: usize) -> RunResult {
     let mode = params.count_mode;
     let reference = reference_run(flows, params);
+    let offline = offline_run(flows, params, BucketDriver::new(SNAPSHOT_EVERY));
+    assert_eq!(offline, reference, "{mode:?}: run_offline diverged");
     let threaded = threaded_run(flows, params, batch);
     assert_eq!(
         threaded, reference,
@@ -251,19 +279,9 @@ fn telemetry_is_inert() {
 
     let instrumented_offline = || -> (RunResult, Telemetry) {
         let telemetry = Telemetry::new();
-        let mut outputs = Vec::new();
-        let mut engine = IpdEngine::new(test_params()).unwrap();
-        run_offline_instrumented(
-            &mut engine,
-            flows.iter().cloned(),
-            SNAPSHOT_EVERY,
-            None,
-            &mut NoopHook,
-            &telemetry,
-            |o| outputs.push(o),
-        );
-        let snap = engine.snapshot(u64::MAX);
-        (summarize(engine.stats().clone(), outputs, snap), telemetry)
+        let driver =
+            BucketDriver::new(SNAPSHOT_EVERY).with_metrics(CoreTelemetry::register(&telemetry));
+        (offline_run(&flows, &test_params(), driver), telemetry)
     };
 
     // Offline, telemetry on: engine output unchanged.
@@ -272,12 +290,15 @@ fn telemetry_is_inert() {
 
     // The threaded pipeline with telemetry in the config: unchanged too.
     let threaded_telemetry = Telemetry::new();
-    let p = IpdPipeline::spawn(PipelineConfig {
-        params: test_params(),
-        channel_capacity: 8,
-        snapshot_every_ticks: SNAPSHOT_EVERY,
-        telemetry: threaded_telemetry.clone(),
-    })
+    let p = IpdPipeline::spawn_hooked(
+        PipelineConfig {
+            params: test_params(),
+            channel_capacity: 8,
+            snapshot_every_ticks: SNAPSHOT_EVERY,
+            telemetry: threaded_telemetry.clone(),
+        },
+        Box::new(NoopHook),
+    )
     .unwrap();
     let (tx, rx) = (p.input(), p.output().clone());
     let drain = std::thread::spawn(move || rx.iter().collect::<Vec<_>>());
@@ -285,7 +306,7 @@ fn telemetry_is_inert() {
         tx.send(chunk.to_vec()).unwrap();
     }
     drop(tx);
-    let (engine, leftover) = p.finish();
+    let (engine, _, leftover) = p.finish_hooked();
     let mut outputs = drain.join().unwrap();
     outputs.extend(leftover);
     let threaded = summarize(engine.stats().clone(), outputs, engine.snapshot(u64::MAX));

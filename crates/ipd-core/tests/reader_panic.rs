@@ -4,11 +4,11 @@
 //! arbitrary bytes off the wire, and a bug there takes down the reader
 //! thread, dropping its `Sender` mid-stream. The engine thread only learns
 //! about this through channel disconnection — these tests pin down that it
-//! shuts down cleanly from that signal alone: `finish()` returns (no
+//! shuts down cleanly from that signal alone: `finish_hooked()` returns (no
 //! deadlock), every flow sent before the panic is ingested, and the final
 //! ticks still fire. The last test additionally parks the engine thread
 //! mid-`send` on the bounded output channel before finishing — the exact
-//! state where a join-before-drain `finish()` deadlocks.
+//! state where a join-before-drain `finish_hooked()` deadlocks.
 //!
 //! Everything runs under a watchdog so a regression fails the suite with a
 //! message instead of hanging CI at the job timeout.
@@ -16,7 +16,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use ipd::pipeline::{IpdPipeline, PipelineConfig, PipelineOutput};
+use ipd::pipeline::{IpdPipeline, NoopHook, PipelineConfig, PipelineOutput};
 use ipd::IpdParams;
 use ipd_lpm::Addr;
 use ipd_netflow::FlowRecord;
@@ -56,7 +56,7 @@ fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 's
         let _ = tx.send(f());
     });
     rx.recv_timeout(Duration::from_secs(secs))
-        .expect("pipeline deadlocked: finish() did not return after the reader panicked")
+        .expect("pipeline deadlocked: finish_hooked() did not return after the reader panicked")
 }
 
 fn count_ticks(outputs: &[PipelineOutput]) -> usize {
@@ -71,7 +71,7 @@ fn count_ticks(outputs: &[PipelineOutput]) -> usize {
 /// (flows ingested, ticks seen) once the pipeline is fully drained.
 fn panicking_reader_scenario() -> (u64, usize) {
     with_watchdog(60, move || {
-        let p = IpdPipeline::spawn(config()).unwrap();
+        let p = IpdPipeline::spawn_hooked(config(), Box::new(NoopHook)).unwrap();
         let (input, output) = (p.input(), p.output().clone());
 
         // Downstream consumer: keeps the bounded output channel moving,
@@ -94,11 +94,11 @@ fn panicking_reader_scenario() -> (u64, usize) {
 
         // The engine side must drain everything sent before the crash and
         // come back. (The pipeline's own Sender clone is dropped inside
-        // finish(); until then the input channel is still open.)
-        let (engine, leftover) = p.finish();
+        // finish_hooked(); until then the input channel is still open.)
+        let (engine, _, leftover) = p.finish_hooked();
         let flows = engine.stats().flows_ingested;
         // The drainer took the output, so it receives every output and
-        // finish() hands back none; together they hold every output.
+        // finish_hooked() hands back none; together they hold every output.
         let drained = drainer.join().expect("drainer never panics");
         (flows, count_ticks(&drained) + count_ticks(&leftover))
     })
@@ -124,12 +124,12 @@ fn plain_pipeline_survives_reader_panic() {
 fn finish_unwedges_engine_blocked_on_full_output_channel() {
     // Worst case: nobody drains outputs. One batch spanning 30 minutes of
     // data-time makes the engine emit ~29 ticks into a capacity-4 output
-    // channel, so by the time finish() is called the engine thread is
-    // parked mid-`send`. finish() must drain before joining or this
+    // channel, so by the time finish_hooked() is called the engine thread is
+    // parked mid-`send`. finish_hooked() must drain before joining or this
     // deadlocks (it did: the drain used to happen after the join).
     const MINUTES: u64 = 30;
     let (flows, ticks) = with_watchdog(60, || {
-        let p = IpdPipeline::spawn(config()).unwrap();
+        let p = IpdPipeline::spawn_hooked(config(), Box::new(NoopHook)).unwrap();
         let input = p.input();
         let reader = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(0xBEEF);
@@ -144,12 +144,12 @@ fn finish_unwedges_engine_blocked_on_full_output_channel() {
         // park on `send` — makes the pre-fix deadlock deterministic
         // instead of racy.
         std::thread::sleep(Duration::from_millis(300));
-        let (engine, leftover) = p.finish();
+        let (engine, _, leftover) = p.finish_hooked();
         (engine.stats().flows_ingested, count_ticks(&leftover))
     });
     assert_eq!(flows, MINUTES * FLOWS_PER_BATCH as u64);
     // All ~29 boundary ticks plus the final flush must surface in the
-    // leftover outputs finish() hands back.
+    // leftover outputs finish_hooked() hands back.
     assert!(
         ticks >= MINUTES as usize - 1,
         "final ticks missing: {ticks}"

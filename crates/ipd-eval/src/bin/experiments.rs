@@ -1029,7 +1029,7 @@ fn spoof_scale(ctx: &mut Ctx) {
 /// from the reconstructed epochs. Writes into `results/hist/` (the pinned
 /// paper-scale TSVs in `results/` are never touched).
 fn hist_scale(ctx: &mut Ctx) {
-    use ipd::pipeline::run_offline_with;
+    use ipd::pipeline::{run_offline, BucketDriver};
     use ipd_eval::hist_stability::{epoch_series, per_prefix, stability_buckets};
     use ipd_hist::{HistConfig, HistPublisher, HistStore, HistTelemetry};
     use ipd_traffic::{DfzConfig, DfzWorld};
@@ -1056,11 +1056,10 @@ fn hist_scale(ctx: &mut Ctx) {
         .expect("open history store");
     let mut hook = HistPublisher::new(store);
     let mut engine = IpdEngine::new(params).expect("engine");
-    run_offline_with(
+    run_offline(
         &mut engine,
+        BucketDriver::new(5),
         world.flows(minutes).map(|lf| lf.flow),
-        5,
-        None,
         &mut hook,
         |_| {},
     );

@@ -12,7 +12,7 @@
 //! The timeline is compressed (minutes instead of weeks); the mechanics —
 //! split, interface change, gap + decay, re-aggregation — are the same.
 
-use ipd::pipeline::{BucketDriver, PipelineOutput};
+use ipd::pipeline::{BucketDriver, NoopHook, PipelineOutput};
 use ipd::{IpdEngine, IpdParams};
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
@@ -140,7 +140,7 @@ pub fn run_case_study() -> CaseStudyOutput {
         ..IpdParams::default()
     };
     let mut engine = IpdEngine::new(params).expect("valid params");
-    let mut driver = BucketDriver::new(60, 5);
+    let mut driver = BucketDriver::new(5);
     let mut rng = StdRng::seed_from_u64(1234);
     let mut out = CaseStudyOutput::default();
     let study = study_prefix();
@@ -193,7 +193,12 @@ pub fn run_case_study() -> CaseStudyOutput {
     for minute in 0..110 {
         for flow in flows_for_minute(minute, &mut rng) {
             let mut emitted = Vec::new();
-            driver.observe(&mut engine, flow.ts, &mut |o| emitted.push(o));
+            driver.observe(
+                &mut engine,
+                flow.ts,
+                &mut |o| emitted.push(o),
+                &mut NoopHook,
+            );
             for o in emitted {
                 handle(o, &mut out);
             }
@@ -201,7 +206,7 @@ pub fn run_case_study() -> CaseStudyOutput {
         }
     }
     let mut emitted = Vec::new();
-    driver.finish(&mut engine, &mut |o| emitted.push(o));
+    driver.finish(&mut engine, &mut |o| emitted.push(o), &mut NoopHook);
     for o in emitted {
         handle(o, &mut out);
     }

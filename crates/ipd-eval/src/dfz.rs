@@ -4,7 +4,7 @@
 //! materialized [`World`](ipd_traffic::World); its memory and wall-clock are
 //! fine at 20k flows/min and hopeless at a million prefixes. This module is
 //! the scale counterpart: it drives the *streaming* substrate
-//! ([`DfzWorld`](ipd_traffic::DfzWorld)) through the engine, validating each
+//! ([`DfzWorld`]) through the engine, validating each
 //! flow against the functional ground truth at its own timestamp — so churn
 //! (next-hop flaps, withdrawn prefixes) is part of the test, not an
 //! interruption of it.
@@ -168,7 +168,7 @@ pub fn run_dfz(cfg: &DfzEvalConfig) -> DfzEvalReport {
         ..IpdParams::default()
     };
     let mut engine = IpdEngine::new(params).expect("valid params");
-    let mut driver = BucketDriver::new(engine.params().t_secs, cfg.snapshot_every_ticks);
+    let mut driver = BucketDriver::new(cfg.snapshot_every_ticks);
 
     let mut lpm: Option<LpmTrie<ipd::LogicalIngress>> = None;
     let mut bins: Vec<DfzBin> = Vec::new();
@@ -193,7 +193,7 @@ pub fn run_dfz(cfg: &DfzEvalConfig) -> DfzEvalReport {
                     last_snapshot = Some(s);
                 }
             };
-            driver.observe_with(&mut engine, lf.flow.ts, &mut on_out, &mut NoopHook);
+            driver.observe(&mut engine, lf.flow.ts, &mut on_out, &mut NoopHook);
         }
         if snapshots != before {
             if cur.checked > 0 {
@@ -227,7 +227,7 @@ pub fn run_dfz(cfg: &DfzEvalConfig) -> DfzEvalReport {
             last_snapshot = Some(s);
         }
     };
-    driver.finish(&mut engine, &mut on_out);
+    driver.finish(&mut engine, &mut on_out, &mut NoopHook);
     if cur.checked > 0 {
         bins.push(cur);
     }

@@ -8,7 +8,7 @@
 //! flows are validated against the table from the *previous* completed bin
 //! while being ingested into the engine for the next.
 
-use ipd::pipeline::{BucketDriver, PipelineOutput};
+use ipd::pipeline::{BucketDriver, NoopHook, PipelineOutput};
 use ipd::{IpdEngine, IpdParams, LogicalIngress, Snapshot, TickReport};
 use ipd_lpm::LpmTrie;
 use ipd_traffic::{FlowSim, MinuteBatch, SimConfig, World, WorldConfig};
@@ -127,7 +127,7 @@ pub fn run_with_sim<V: RunVisitor>(
     visitor: &mut V,
 ) -> RunOutput {
     let mut engine = IpdEngine::new(cfg.params.clone()).expect("valid eval parameters");
-    let mut driver = BucketDriver::new(cfg.params.t_secs, cfg.snapshot_every_ticks);
+    let mut driver = BucketDriver::new(cfg.snapshot_every_ticks);
     let mut lpm: LpmTrie<LogicalIngress> = LpmTrie::new();
     let mut flows = 0u64;
 
@@ -137,7 +137,12 @@ pub fn run_with_sim<V: RunVisitor>(
         flows += batch.flows.len() as u64;
         for lf in &batch.flows {
             let mut emitted: Vec<PipelineOutput> = Vec::new();
-            driver.observe(&mut engine, lf.flow.ts, &mut |o| emitted.push(o));
+            driver.observe(
+                &mut engine,
+                lf.flow.ts,
+                &mut |o| emitted.push(o),
+                &mut NoopHook,
+            );
             for out in emitted {
                 match out {
                     PipelineOutput::Tick(report) => visitor.on_tick(&report, &engine),
@@ -152,7 +157,7 @@ pub fn run_with_sim<V: RunVisitor>(
     }
     // Final tick + snapshot.
     let mut emitted: Vec<PipelineOutput> = Vec::new();
-    driver.finish(&mut engine, &mut |o| emitted.push(o));
+    driver.finish(&mut engine, &mut |o| emitted.push(o), &mut NoopHook);
     for out in emitted {
         match out {
             PipelineOutput::Tick(report) => visitor.on_tick(&report, &engine),

@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use ipd::IpdEngine;
-use ipd_lpm::{Addr, LpmTrie, Prefix};
+use ipd_lpm::LpmTrie;
 use ipd_topology::RouterId;
 use ipd_traffic::{MinuteBatch, World};
 
@@ -151,11 +151,6 @@ impl RunVisitor for IngressCountVisitor {
 pub fn bgp_next_hop_cdf(world: &World, origin_filter: Option<&[u32]>) -> Vec<(usize, f64)> {
     let hist = ipd_bgp::stats::next_hop_count_histogram(&world.rib, origin_filter);
     ipd_bgp::stats::histogram_cdf(&hist)
-}
-
-/// A /24 prefix from raw bits (helper for reporting).
-pub fn prefix24(bits: u128) -> Prefix {
-    Prefix::of(Addr::new(ipd_lpm::Af::V4, bits), 24)
 }
 
 #[cfg(test)]

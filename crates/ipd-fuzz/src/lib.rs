@@ -214,11 +214,11 @@ pub fn encode_lpm_ops(ops: &[(u8, u8, u32)]) -> Vec<u8> {
 /// an [`LpmTrie`](ipd_lpm::LpmTrie) oracle in lockstep. Every op's result
 /// must agree — insert's was-new bit, remove's was-present bit, lookup's
 /// (prefix, value), exact's value — plus `len()` after each op. At the end
-/// the store's sorted rows must equal the trie's, and a [`FlatLpm`]
-/// (ipd_lpm::FlatLpm) built from the oracle must answer every trace address
-/// identically to the concurrent store. This is the single-threaded
-/// differential leg of the concurrent store's proof; the interleaved leg
-/// lives in `ipd-lpm/tests/interleave.rs`.
+/// the store's sorted rows must equal the trie's, and a
+/// [`FlatLpm`](ipd_lpm::FlatLpm) built from the oracle must answer every
+/// trace address identically to the concurrent store. This is the
+/// single-threaded differential leg of the concurrent store's proof; the
+/// interleaved leg lives in `ipd-lpm/tests/interleave.rs`.
 pub fn fuzz_lpm_ops(data: &[u8]) {
     let store: ipd_lpm::ConcurrentLpm<u32> = ipd_lpm::ConcurrentLpm::new();
     let mut oracle: ipd_lpm::LpmTrie<u32> = ipd_lpm::LpmTrie::new();

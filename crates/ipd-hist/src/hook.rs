@@ -73,7 +73,7 @@ impl PipelineHook for HistPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipd::pipeline::run_offline_with;
+    use ipd::pipeline::{run_offline, BucketDriver};
     use ipd::IpdParams;
     use ipd_lpm::Addr;
     use ipd_netflow::FlowRecord;
@@ -109,7 +109,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut hook = HistPublisher::new(HistStore::open(&dir).unwrap());
         let mut engine = ipd::IpdEngine::new(test_params()).unwrap();
-        run_offline_with(&mut engine, two_half_flows(6), 1, None, &mut hook, |_| {});
+        run_offline(
+            &mut engine,
+            BucketDriver::new(1),
+            two_half_flows(6),
+            &mut hook,
+            |_| {},
+        );
         assert!(hook.error().is_none());
         let store = hook.store();
         // 6 minutes of data: 5 in-stream crossings + 1 close record.
@@ -134,11 +140,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut hook = HistPublisher::new(HistStore::open(&dir).unwrap());
         let mut engine = ipd::IpdEngine::new(test_params()).unwrap();
-        run_offline_with(
+        run_offline(
             &mut engine,
+            BucketDriver::new(1),
             Vec::<FlowRecord>::new(),
-            1,
-            None,
             &mut hook,
             |_| {},
         );

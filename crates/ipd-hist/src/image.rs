@@ -51,11 +51,6 @@ impl EpochImage {
         &self.rows
     }
 
-    /// Consume into the rows.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
-    }
-
     /// Rebuild the servable store — bit-identical to the one the rows were
     /// captured from (`ipd-serve` pins this in `from_rows_rebuilds_bit_identically`).
     pub fn to_store(&self) -> IngressStore {

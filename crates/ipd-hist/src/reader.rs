@@ -98,7 +98,7 @@ impl HistReader {
 
     /// Ingress-level changes from epoch `from` to epoch `to`, sorted by
     /// prefix. `None` when either epoch is not held. Confidence-only drift
-    /// does not count as a change (matching [`ipd::SnapshotDiff`]).
+    /// does not count as a change.
     pub fn diff(&self, from: u64, to: u64) -> Result<Option<Vec<PrefixChange>>, HistError> {
         let mut st = self.inner.state.lock().expect("state poisoned");
         let Some((a, _)) = self.inner.image_at(&mut st, from)? else {

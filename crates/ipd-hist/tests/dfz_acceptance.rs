@@ -10,7 +10,7 @@
 //! asserts. One mid-run epoch additionally keeps its full live store for a
 //! row-by-row comparison.
 
-use ipd::pipeline::{run_offline_with, BucketClock, PipelineHook};
+use ipd::pipeline::{run_offline, BucketClock, BucketDriver, PipelineHook};
 use ipd::{IpdEngine, IpdParams};
 use ipd_hist::codec::{encode_segment, Segment};
 use ipd_hist::{EpochImage, HistConfig, HistStore, HistTelemetry};
@@ -100,11 +100,10 @@ fn dfz_thousand_epoch_history_reconstructs_within_k_reads() {
     // Stream the flows — collecting a multi-million-record trace up front
     // would dominate the very RSS bound this test asserts.
     let mut engine = IpdEngine::new(params).unwrap();
-    run_offline_with(
+    run_offline(
         &mut engine,
+        BucketDriver::new(1),
         world.flows(MINUTES).map(|lf| lf.flow),
-        1,
-        None,
         &mut hook,
         |_| {},
     );

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use ipd::pipeline::{run_offline_with, BucketClock, PipelineHook};
+use ipd::pipeline::{run_offline, BucketClock, BucketDriver, PipelineHook};
 use ipd::{IpdEngine, IpdParams, Snapshot};
 use ipd_hist::{HistConfig, HistPublisher, HistStore, HistTelemetry, Row};
 use ipd_lpm::Addr;
@@ -196,7 +196,7 @@ fn run_and_check(
     };
     let store = HistStore::open_with(dir, cfg, HistTelemetry::default()).unwrap();
     let mut hook = RecordingHook::new(store, schedule);
-    run_offline_with(&mut engine, flows, 1, None, &mut hook, |_| {});
+    run_offline(&mut engine, BucketDriver::new(1), flows, &mut hook, |_| {});
     assert!(
         hook.hist.error().is_none(),
         "append failed: {:?}",
@@ -328,7 +328,7 @@ fn serve_integration_answers_history_over_the_wire() {
             hist,
         };
         let mut engine = IpdEngine::new(params).unwrap();
-        run_offline_with(&mut engine, flows, 1, None, &mut hook, |_| {});
+        run_offline(&mut engine, BucketDriver::new(1), flows, &mut hook, |_| {});
         assert!(hook.hist.error().is_none());
     });
 

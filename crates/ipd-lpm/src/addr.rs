@@ -3,10 +3,8 @@
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use serde::{Deserialize, Serialize};
-
 /// Address family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Af {
     /// IPv4 — 32 bit addresses.
     V4,
@@ -60,7 +58,7 @@ impl fmt::Display for Af {
 ///
 /// IPv4 addresses occupy the low 32 bits. The representation makes masking and
 /// trie navigation uniform across families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr {
     af: Af,
     bits: u128,

@@ -4,7 +4,7 @@
 //!
 //! # Layout
 //!
-//! The tree walks addresses in 4-bit strides. Each [`CNode`] holds:
+//! The tree walks addresses in 4-bit strides. Each `CNode` holds:
 //!
 //! * `children: [AtomicU32; 16]` — once-allocated child indices into a
 //!   chunked node arena (children are created on demand and never freed or

@@ -5,8 +5,6 @@ use std::fmt;
 use std::net::IpAddr;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{Addr, Af};
 
 /// A CIDR range: a network address plus a prefix length.
@@ -16,7 +14,7 @@ use crate::addr::{Addr, Af};
 /// address, then length — i.e. a parent sorts before its children and ranges
 /// appear in address order, which is what the evaluation code relies on when
 /// printing range tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Prefix {
     addr: Addr,
     len: u8,

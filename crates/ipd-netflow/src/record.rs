@@ -3,7 +3,6 @@
 use std::fmt;
 
 use ipd_lpm::{Addr, Af};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an exporting (border) router.
 ///
@@ -19,7 +18,7 @@ pub type RouterId = u32;
 /// of the true volume). `ts` is the export timestamp in unix seconds — the
 /// statistical-time pre-processing (crate `ipd-stattime`) is what deals with
 /// router clocks that lie about it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowRecord {
     /// Export timestamp, unix seconds, as claimed by the router clock.
     pub ts: u64,

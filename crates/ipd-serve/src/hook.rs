@@ -176,7 +176,7 @@ impl PipelineHook for ServePublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipd::pipeline::run_offline_with;
+    use ipd::pipeline::{run_offline, BucketDriver};
     use ipd::{IpdParams, Snapshot};
     use ipd_lpm::Addr;
     use ipd_netflow::FlowRecord;
@@ -214,11 +214,17 @@ mod tests {
         let swap = hook.swap();
         let mut engine = ipd::IpdEngine::new(test_params()).unwrap();
         let mut snapshots: Vec<Snapshot> = Vec::new();
-        run_offline_with(&mut engine, two_half_flows(6), 1, None, &mut hook, |o| {
-            if let ipd::pipeline::PipelineOutput::Snapshot(s) = o {
-                snapshots.push(s);
-            }
-        });
+        run_offline(
+            &mut engine,
+            BucketDriver::new(1),
+            two_half_flows(6),
+            &mut hook,
+            |o| {
+                if let ipd::pipeline::PipelineOutput::Snapshot(s) = o {
+                    snapshots.push(s);
+                }
+            },
+        );
         // 6 minutes of data: 5 in-stream crossings + 1 close publication.
         // The publication epoch lives on the store; the swap only counts
         // rotations (none here — no compaction at this size).
@@ -265,7 +271,13 @@ mod tests {
         let mut sharded = ServePublisher::with_config(8, ServeTelemetry::default());
         for hook in [&mut plain, &mut sharded] {
             let mut engine = ipd::IpdEngine::new(test_params()).unwrap();
-            run_offline_with(&mut engine, two_half_flows(4), 1, None, hook, |_| {});
+            run_offline(
+                &mut engine,
+                BucketDriver::new(1),
+                two_half_flows(4),
+                hook,
+                |_| {},
+            );
         }
         let a = plain.swap.load();
         let b = sharded.swap.load();
@@ -284,11 +296,10 @@ mod tests {
         let mut hook = ServePublisher::new();
         let swap = hook.swap();
         let mut engine = ipd::IpdEngine::new(test_params()).unwrap();
-        run_offline_with(
+        run_offline(
             &mut engine,
+            BucketDriver::new(1),
             Vec::<FlowRecord>::new(),
-            1,
-            None,
             &mut hook,
             |_| {},
         );

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ipd::pipeline::{run_offline_with, BucketClock, PipelineHook};
+use ipd::pipeline::{run_offline, BucketClock, BucketDriver, PipelineHook};
 use ipd::{IpdEngine, IpdParams, LogicalIngress, Snapshot};
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
@@ -211,7 +211,7 @@ fn run_with_schedule(
     schedule: Schedule,
 ) -> Vec<EpochCapture> {
     let mut hook = CaptureHook::new(schedule);
-    run_offline_with(&mut engine, flows, 1, None, &mut hook, |_| {});
+    run_offline(&mut engine, BucketDriver::new(1), flows, &mut hook, |_| {});
     assert_epochs_identical(&hook.epochs);
     hook.epochs
 }
@@ -299,7 +299,13 @@ fn unclassifiable_trace_serves_unmapped_everywhere() {
     // epoch, exactly like the engine's own (empty) table.
     let mut hook = CaptureHook::new(Schedule::Every);
     let mut engine = IpdEngine::new(IpdParams::default()).unwrap();
-    run_offline_with(&mut engine, trace(4), 1, None, &mut hook, |_| {});
+    run_offline(
+        &mut engine,
+        BucketDriver::new(1),
+        trace(4),
+        &mut hook,
+        |_| {},
+    );
     assert!(!hook.epochs.is_empty());
     for cap in &hook.epochs {
         assert!(cap.rows.is_empty());
@@ -366,7 +372,13 @@ fn queries_during_publication_observe_only_published_states() {
         snapshots: Vec::new(),
     };
     let mut engine = IpdEngine::new(classify_params()).unwrap();
-    run_offline_with(&mut engine, flows.clone(), 1, None, &mut pre, |_| {});
+    run_offline(
+        &mut engine,
+        BucketDriver::new(1),
+        flows.clone(),
+        &mut pre,
+        |_| {},
+    );
     let last = pre.snapshots.last().expect("publications happened");
     assert!(
         last.classified().count() > 0,
@@ -489,7 +501,7 @@ fn queries_during_publication_observe_only_published_states() {
     ipd_lpm::concurrent::set_yield_hook(Some(std::thread::yield_now));
     let mut engine = IpdEngine::new(classify_params()).unwrap();
     let mut hook = publisher;
-    run_offline_with(&mut engine, flows, 1, None, &mut hook, |_| {});
+    run_offline(&mut engine, BucketDriver::new(1), flows, &mut hook, |_| {});
     ipd_lpm::concurrent::set_yield_hook(None);
 
     done.store(true, Ordering::Relaxed);

@@ -16,7 +16,7 @@
 //!
 //! [`LiveStore`]: ipd_serve::LiveStore
 
-use ipd::pipeline::{BucketDriver, PipelineHook, PipelineOutput};
+use ipd::pipeline::{BucketDriver, PipelineOutput};
 use ipd::{IpdEngine, IpdParams};
 use ipd_serve::ServePublisher;
 use ipd_topology::IngressPoint;
@@ -153,7 +153,7 @@ pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofRepor
     let mut publisher = ServePublisher::new();
     let swap = publisher.swap();
     let mut reader = swap.reader();
-    let mut driver = BucketDriver::new(engine.params().t_secs, cfg.snapshot_every_ticks);
+    let mut driver = BucketDriver::new(cfg.snapshot_every_ticks);
 
     let mut flows = 0u64;
     let mut ticks = 0u64;
@@ -169,7 +169,7 @@ pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofRepor
     };
     for sf in cfg.scenario.stream(&world, cfg.minutes) {
         // 1. Advance data time; bucket crossings publish fresh epochs.
-        driver.observe_with(&mut engine, sf.flow.ts, &mut out, &mut publisher);
+        driver.observe(&mut engine, sf.flow.ts, &mut out, &mut publisher);
         // 2. Judge against the map exactly as served at this instant.
         let store = reader.current();
         let observed = IngressPoint::new(sf.flow.router, sf.flow.input_if);
@@ -211,9 +211,7 @@ pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofRepor
         // 3. Ingest — forged flows included; the engine cannot pre-filter.
         engine.ingest(&sf.flow);
     }
-    publisher.finished(&engine, driver.clock());
-    driver.finish(&mut engine, &mut out);
-    publisher.closed(&engine, driver.clock());
+    driver.finish(&mut engine, &mut out, &mut publisher);
     // The terminal summary: final epoch, total spoofed/shift verdicts.
     let last = swap.load();
     metrics.flight.record(

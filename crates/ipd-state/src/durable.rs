@@ -71,7 +71,7 @@ impl DurableHandle {
 }
 
 /// The write-ahead durability hook. Plug into
-/// [`run_offline_with`](ipd::pipeline::run_offline_with) or
+/// [`run_offline`](ipd::pipeline::run_offline) or
 /// [`IpdPipeline::spawn_hooked`](ipd::pipeline::IpdPipeline::spawn_hooked).
 ///
 /// I/O failures after start are recorded (see [`DurableHandle`]) but do not
@@ -258,9 +258,8 @@ impl From<EngineRestoreError> for RestoreError {
 pub struct Restored {
     /// The rebuilt engine, journal tail already replayed.
     pub engine: IpdEngine,
-    /// Driver position after replay — pass to
-    /// [`run_offline_with`](ipd::pipeline::run_offline_with) or
-    /// [`BucketDriver::with_clock`] to continue the stream.
+    /// Driver position after replay — pass to [`BucketDriver::with_clock`]
+    /// to continue the stream.
     pub clock: BucketClock,
     /// Generation the checkpoint came from.
     pub seq: u64,
@@ -278,19 +277,15 @@ pub struct Restored {
 /// [`BucketDriver`] so mid-replay ticks fire exactly as they did in the
 /// original run. `snapshot_every_ticks` must match the interrupted run's
 /// pipeline configuration.
-pub fn restore(dir: &Path, snapshot_every_ticks: u32) -> Result<Restored, RestoreError> {
-    restore_instrumented(
-        dir,
-        snapshot_every_ticks,
-        &ipd_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`restore`] with replay progress reported to `telemetry`:
-/// `ipd_state_restore_replayed_frames_total` grows as frames are applied,
-/// so a metrics endpoint polled during a long restore shows how far replay
-/// has come. The resulting engine is identical to plain [`restore`]'s.
-pub fn restore_instrumented(
+///
+/// Replay progress goes to `telemetry`:
+/// `ipd_state_restore_replayed_frames_total` grows as each journal is
+/// applied, so a metrics endpoint polled during a long restore shows how
+/// far replay has come. Pass [`Telemetry::disabled`] for none; the
+/// resulting engine is the same either way.
+///
+/// [`Telemetry::disabled`]: ipd_telemetry::Telemetry::disabled
+pub fn restore(
     dir: &Path,
     snapshot_every_ticks: u32,
     telemetry: &ipd_telemetry::Telemetry,
@@ -301,11 +296,7 @@ pub fn restore_instrumented(
         .latest_valid()?
         .ok_or(RestoreError::NoValidCheckpoint)?;
     let mut engine = IpdEngine::restore_state(valid.state.dump)?;
-    let mut driver = BucketDriver::with_clock(
-        engine.params().t_secs,
-        snapshot_every_ticks,
-        valid.state.clock,
-    );
+    let mut driver = BucketDriver::new(snapshot_every_ticks).with_clock(valid.state.clock);
 
     // Replay journals ascending from the restored generation through the
     // newest on disk. When we fell back past a damaged checkpoint, its
@@ -327,12 +318,9 @@ pub fn restore_instrumented(
             continue;
         }
         let contents = read_journal(&path)?;
-        for flow in &contents.records {
-            driver.observe_with(&mut engine, flow.ts, &mut sink, &mut NoopHook);
-            engine.ingest(flow);
-            replayed += 1;
-            metrics.restore_replayed.inc();
-        }
+        driver.ingest_batch(&mut engine, &contents.records, &mut sink, &mut NoopHook);
+        replayed += contents.records.len() as u64;
+        metrics.restore_replayed.add(contents.records.len() as u64);
         if contents.torn_tail {
             torn_tail = true;
             break;
@@ -352,9 +340,10 @@ pub fn restore_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipd::pipeline::run_offline_with;
+    use ipd::pipeline::run_offline;
     use ipd::IpdParams;
     use ipd_lpm::Addr;
+    use ipd_telemetry::Telemetry;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
@@ -400,7 +389,13 @@ mod tests {
         )
         .unwrap();
         let handle = durable.handle();
-        run_offline_with(&mut engine, flows(600), 4, None, &mut durable, |_| {});
+        run_offline(
+            &mut engine,
+            BucketDriver::new(4),
+            flows(600),
+            &mut durable,
+            |_| {},
+        );
         let stats = handle.stats();
         assert_eq!(stats.flows_journaled, 600);
         assert_eq!(stats.io_errors, 0, "unexpected: {:?}", stats.last_error);
@@ -426,7 +421,13 @@ mod tests {
 
         // Uninterrupted reference.
         let mut reference = IpdEngine::new(test_params()).unwrap();
-        run_offline_with(&mut reference, all.clone(), 4, None, &mut NoopHook, |_| {});
+        run_offline(
+            &mut reference,
+            BucketDriver::new(4),
+            all.clone(),
+            &mut NoopHook,
+            |_| {},
+        );
 
         // Durable run killed mid-stream: drive flows[..cut] through the
         // hook without ever calling finished/finish — then drop the engine
@@ -443,10 +444,10 @@ mod tests {
                 },
             )
             .unwrap();
-            let mut driver = BucketDriver::new(engine.params().t_secs, 4);
+            let mut driver = BucketDriver::new(4);
             let mut sink = |_out| {};
             for flow in &all[..cut] {
-                driver.observe_with(&mut engine, flow.ts, &mut sink, &mut durable);
+                driver.observe(&mut engine, flow.ts, &mut sink, &mut durable);
                 durable.flows(std::slice::from_ref(flow));
                 engine.ingest(flow);
             }
@@ -454,15 +455,14 @@ mod tests {
         }
 
         // Restore and finish the stream.
-        let restored = restore(&dir, 4).unwrap();
+        let restored = restore(&dir, 4, &Telemetry::disabled()).unwrap();
         assert!(!restored.torn_tail);
         assert_eq!(restored.fell_back, 0);
         let mut engine = restored.engine;
-        run_offline_with(
+        run_offline(
             &mut engine,
+            BucketDriver::new(4).with_clock(restored.clock),
             all[cut..].to_vec(),
-            4,
-            Some(restored.clock),
             &mut NoopHook,
             |_| {},
         );
@@ -480,7 +480,7 @@ mod tests {
         let dir = tmp_dir("empty");
         std::fs::create_dir_all(&dir).unwrap();
         assert!(matches!(
-            restore(&dir, 4),
+            restore(&dir, 4, &Telemetry::disabled()),
             Err(RestoreError::NoValidCheckpoint)
         ));
     }
@@ -488,7 +488,7 @@ mod tests {
     #[test]
     fn telemetry_mirrors_durable_stats() {
         let dir = tmp_dir("telemetry");
-        let telemetry = ipd_telemetry::Telemetry::new();
+        let telemetry = Telemetry::new();
         let mut engine = IpdEngine::new(test_params()).unwrap();
         let mut durable = Durable::start(
             &dir,
@@ -502,7 +502,13 @@ mod tests {
         .unwrap()
         .with_telemetry(&telemetry);
         let handle = durable.handle();
-        run_offline_with(&mut engine, flows(600), 4, None, &mut durable, |_| {});
+        run_offline(
+            &mut engine,
+            BucketDriver::new(4),
+            flows(600),
+            &mut durable,
+            |_| {},
+        );
         let stats = handle.stats();
         let snap = telemetry.snapshot();
         assert_eq!(
@@ -520,14 +526,14 @@ mod tests {
         assert_eq!(snap.counter("ipd_state_io_errors_total"), Some(0));
 
         // Restore with telemetry reports replay progress and produces the
-        // same engine as the plain restore.
-        let restored = restore_instrumented(&dir, 4, &telemetry).unwrap();
+        // same engine as a restore without.
+        let restored = restore(&dir, 4, &telemetry).unwrap();
         let snap = telemetry.snapshot();
         assert_eq!(
             snap.counter("ipd_state_restore_replayed_frames_total"),
             Some(restored.replayed)
         );
-        let plain = restore(&dir, 4).unwrap();
+        let plain = restore(&dir, 4, &Telemetry::disabled()).unwrap();
         let ts = 60 + 600 * 2 + 120;
         assert_eq!(
             restored.engine.snapshot(ts).digest(),

@@ -22,7 +22,7 @@
 //!
 //! ## The equivalence contract
 //!
-//! Kill a run at any point, [`restore`](durable::restore), and continue
+//! Kill a run at any point, [`restore`], and continue
 //! with the remaining flows: the final [`ipd::Snapshot::digest`] and
 //! classified set are bit-for-bit identical to an uninterrupted run, for
 //! the offline driver and the threaded pipeline alike, in both count
@@ -36,8 +36,7 @@ pub mod telemetry;
 
 pub use codec::{decode, encode, fnv1a, image_checksum, CheckpointState, CodecError};
 pub use durable::{
-    restore, restore_instrumented, Durable, DurableConfig, DurableHandle, DurableStats,
-    RestoreError, Restored,
+    restore, Durable, DurableConfig, DurableHandle, DurableStats, RestoreError, Restored,
 };
 pub use journal::{parse_journal, read_journal, JournalContents, JournalWriter};
 pub use store::{CheckpointStore, ValidCheckpoint};

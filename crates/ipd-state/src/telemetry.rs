@@ -34,8 +34,8 @@ pub struct StateTelemetry {
     pub io_errors: Counter,
     /// `ipd_state_restore_replayed_frames_total` — journal frames replayed
     /// onto a restored checkpoint; grows live during
-    /// [`restore_instrumented`](crate::durable::restore_instrumented), so a
-    /// metrics endpoint shows replay progress.
+    /// [`restore`](crate::durable::restore), so a metrics endpoint shows
+    /// replay progress.
     pub restore_replayed: Counter,
 }
 

@@ -8,20 +8,20 @@
 //! classified prefix→ingress set, and cumulative engine stats must be
 //! bit-for-bit identical to the uninterrupted run, for:
 //!
-//! * the per-flow offline driver,
+//! * a per-flow driver loop,
 //! * the threaded `IpdPipeline` (`spawn_hooked`, batched ingest),
 //! * a damaged latest checkpoint (restore falls back a generation), and
 //! * a torn final journal frame (replay stops at the last whole frame and
 //!   the lost flows are re-delivered).
 
 use ipd::pipeline::{
-    run_offline, run_offline_with, BucketClock, BucketDriver, IpdPipeline, NoopHook,
-    PipelineConfig, PipelineHook,
+    run_offline, BucketClock, BucketDriver, IpdPipeline, NoopHook, PipelineConfig, PipelineHook,
 };
 use ipd::{EngineStats, IpdEngine, IpdParams, LogicalIngress};
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
 use ipd_state::{restore, CheckpointStore, Durable, DurableConfig};
+use ipd_telemetry::Telemetry;
 use rand::{Rng, SeedableRng};
 
 const SNAPSHOT_EVERY: u32 = 2;
@@ -134,7 +134,13 @@ fn final_state(engine: &IpdEngine) -> FinalState {
 
 fn reference_run(flows: &[FlowRecord]) -> FinalState {
     let mut engine = IpdEngine::new(test_params()).unwrap();
-    run_offline(&mut engine, flows.iter().cloned(), SNAPSHOT_EVERY, |_| {});
+    run_offline(
+        &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY),
+        flows.iter().cloned(),
+        &mut NoopHook,
+        |_| {},
+    );
     final_state(&engine)
 }
 
@@ -145,10 +151,10 @@ fn crash_plain(dir: &std::path::Path, flows: &[FlowRecord], cut: usize) {
     let mut engine = IpdEngine::new(test_params()).unwrap();
     let mut durable =
         Durable::start(dir, &engine, BucketClock::default(), durable_config()).unwrap();
-    let mut driver = BucketDriver::new(engine.params().t_secs, SNAPSHOT_EVERY);
+    let mut driver = BucketDriver::new(SNAPSHOT_EVERY);
     let mut sink = |_out| {};
     for flow in &flows[..cut] {
-        driver.observe_with(&mut engine, flow.ts, &mut sink, &mut durable);
+        driver.observe(&mut engine, flow.ts, &mut sink, &mut durable);
         durable.flows(std::slice::from_ref(flow));
         engine.ingest(flow);
     }
@@ -158,15 +164,14 @@ fn crash_plain(dir: &std::path::Path, flows: &[FlowRecord], cut: usize) {
 }
 
 fn resume_plain(dir: &std::path::Path, flows: &[FlowRecord]) -> FinalState {
-    let restored = restore(dir, SNAPSHOT_EVERY).unwrap();
+    let restored = restore(dir, SNAPSHOT_EVERY, &Telemetry::disabled()).unwrap();
     let applied = restored.engine.stats().flows_ingested as usize;
     assert!(applied <= flows.len());
     let mut engine = restored.engine;
-    run_offline_with(
+    run_offline(
         &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY).with_clock(restored.clock),
         flows[applied..].iter().cloned(),
-        SNAPSHOT_EVERY,
-        Some(restored.clock),
         &mut NoopHook,
         |_| {},
     );
@@ -270,7 +275,13 @@ fn dfz_churn_burst_crash_restores_clock_exact() {
     // Uninterrupted reference.
     let reference = {
         let mut engine = IpdEngine::new(params.clone()).unwrap();
-        run_offline(&mut engine, flows.iter().cloned(), SNAPSHOT_EVERY, |_| {});
+        run_offline(
+            &mut engine,
+            BucketDriver::new(SNAPSHOT_EVERY),
+            flows.iter().cloned(),
+            &mut NoopHook,
+            |_| {},
+        );
         final_state(&engine)
     };
     assert!(!reference.classified.is_empty());
@@ -282,10 +293,10 @@ fn dfz_churn_burst_crash_restores_clock_exact() {
         let mut engine = IpdEngine::new(params.clone()).unwrap();
         let mut durable =
             Durable::start(&dir, &engine, BucketClock::default(), durable_config()).unwrap();
-        let mut driver = BucketDriver::new(engine.params().t_secs, SNAPSHOT_EVERY);
+        let mut driver = BucketDriver::new(SNAPSHOT_EVERY);
         let mut sink = |_out| {};
         for flow in &flows[..cut] {
-            driver.observe_with(&mut engine, flow.ts, &mut sink, &mut durable);
+            driver.observe(&mut engine, flow.ts, &mut sink, &mut durable);
             durable.flows(std::slice::from_ref(flow));
             engine.ingest(flow);
         }
@@ -297,16 +308,15 @@ fn dfz_churn_burst_crash_restores_clock_exact() {
 
     // Clock-exact: the restored clock is the crashed run's clock, to the
     // bucket — resuming must not re-tick or skip a bucket across the burst.
-    let restored = restore(&dir, SNAPSHOT_EVERY).unwrap();
+    let restored = restore(&dir, SNAPSHOT_EVERY, &Telemetry::disabled()).unwrap();
     assert_eq!(restored.clock, crashed_clock, "restored clock drifted");
     assert_eq!(restored.engine.stats().flows_ingested as usize, cut);
 
     let mut engine = restored.engine;
-    run_offline_with(
+    run_offline(
         &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY).with_clock(restored.clock),
         flows[cut..].iter().cloned(),
-        SNAPSHOT_EVERY,
-        Some(restored.clock),
         &mut NoopHook,
         |_| {},
     );
@@ -336,7 +346,7 @@ fn corrupt_latest_checkpoint_falls_back_a_generation() {
     bytes[mid] ^= 0x10;
     std::fs::write(&path, bytes).unwrap();
 
-    let restored = restore(&dir, SNAPSHOT_EVERY).unwrap();
+    let restored = restore(&dir, SNAPSHOT_EVERY, &Telemetry::disabled()).unwrap();
     assert_eq!(restored.fell_back, 1, "must skip the damaged generation");
     assert_eq!(restored.seq, latest - 1);
     assert!(!restored.torn_tail);
@@ -345,11 +355,10 @@ fn corrupt_latest_checkpoint_falls_back_a_generation() {
     // generation's) reconstruct the same point in the stream.
     let applied = restored.engine.stats().flows_ingested as usize;
     let mut engine = restored.engine;
-    run_offline_with(
+    run_offline(
         &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY).with_clock(restored.clock),
         flows[applied..].iter().cloned(),
-        SNAPSHOT_EVERY,
-        Some(restored.clock),
         &mut NoopHook,
         |_| {},
     );
@@ -373,7 +382,7 @@ fn torn_final_journal_frame_replays_to_last_whole_frame() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
 
-    let clean = restore(&dir, SNAPSHOT_EVERY).unwrap();
+    let clean = restore(&dir, SNAPSHOT_EVERY, &Telemetry::disabled()).unwrap();
     assert!(clean.torn_tail, "tear must be detected");
     let applied = clean.engine.stats().flows_ingested as usize;
     // Exactly one frame lost relative to the cut.
@@ -381,11 +390,10 @@ fn torn_final_journal_frame_replays_to_last_whole_frame() {
 
     // Re-delivering from the lost flow onward completes the stream exactly.
     let mut engine = clean.engine;
-    run_offline_with(
+    run_offline(
         &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY).with_clock(clean.clock),
         flows[applied..].iter().cloned(),
-        SNAPSHOT_EVERY,
-        Some(clean.clock),
         &mut NoopHook,
         |_| {},
     );

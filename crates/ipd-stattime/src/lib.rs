@@ -2,7 +2,7 @@
 //!
 //! The paper (§3.1, "Addressing clock drift with statistical time"): with
 //! over 3,000 routers, "inaccurate router clocks occur", so IPD's pre-processing
-//! "rel[ies] on inferring sequences of events from time input in the flow
+//! "rel\[ies\] on inferring sequences of events from time input in the flow
 //! data, rather than assuming that all clocks are in sync. This *statistical
 //! time* approach segments traffic into uniform time buckets and analyzes
 //! flow samples within these periods. Intervals that don't meet a certain

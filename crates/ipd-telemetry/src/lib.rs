@@ -34,7 +34,7 @@
 //!
 //! Telemetry is *observational only*: nothing in this crate feeds back
 //! into the engine, so a run with telemetry attached produces bit-for-bit
-//! the same [`ipd::Snapshot`] digest as a run without — a property the
+//! the same `ipd::Snapshot` digest as a run without — a property the
 //! differential harness in `ipd-core` proves end to end.
 //!
 //! ## Observability v2 (freshness + postmortem + introspection)

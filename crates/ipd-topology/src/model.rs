@@ -3,8 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Dense country identifier.
 pub type CountryId = u16;
 /// Dense PoP identifier.
@@ -16,7 +14,7 @@ pub type LinkId = u32;
 
 /// Classification of an external link, following the ISP's link taxonomy
 /// used in §5.4 ("33.4% of those are PNI links") and §5.6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Private Network Interconnect: direct private connection to one AS.
     Pni,
@@ -40,7 +38,7 @@ impl fmt::Display for LinkClass {
 }
 
 /// A country the ISP operates in.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Country {
     /// Dense id, 1-based to match the paper's `C1`, `C2`, … labels.
     pub id: CountryId,
@@ -49,7 +47,7 @@ pub struct Country {
 }
 
 /// A Point of Presence: a physical location hosting border routers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pop {
     /// Dense id.
     pub id: PopId,
@@ -60,7 +58,7 @@ pub struct Pop {
 }
 
 /// A border router.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Router {
     /// Dense id, 1-based to match `R1`, `R2`, … labels.
     pub id: RouterId,
@@ -69,7 +67,7 @@ pub struct Router {
 }
 
 /// An external interface of a border router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interface {
     /// Owning router.
     pub router: RouterId,
@@ -78,7 +76,7 @@ pub struct Interface {
 }
 
 /// An external link: an interface facing a neighbor AS.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Link {
     /// Dense id.
     pub id: LinkId,
@@ -95,7 +93,7 @@ pub struct Link {
 /// A (router, interface) pair — the granularity at which IPD reports ingress
 /// points ("IPD identifies the specific router and interface through which a
 /// particular segment of the Internet address space enters a network").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IngressPoint {
     /// Border router.
     pub router: RouterId,
@@ -113,7 +111,7 @@ impl IngressPoint {
 /// Several interfaces of one router treated as a single logical ingress
 /// (paper §3.2: "they are bundled as a single logical ingress (called
 /// *bundles*)") — e.g. a LAG towards a CDN.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bundle {
     /// The router all member interfaces belong to.
     pub router: RouterId,
@@ -137,7 +135,7 @@ impl Bundle {
 }
 
 /// The assembled ISP topology with index structures for fast lookup.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     pub(crate) countries: Vec<Country>,
     pub(crate) pops: Vec<Pop>,
@@ -215,13 +213,6 @@ impl Topology {
     /// Country of a router.
     pub fn country_of_router(&self, id: RouterId) -> Option<&Country> {
         self.pop_of_router(id).and_then(|p| self.country(p.country))
-    }
-
-    /// All ingress points (one per external link).
-    pub fn ingress_points(&self) -> impl Iterator<Item = IngressPoint> + '_ {
-        self.links
-            .iter()
-            .map(|l| IngressPoint::new(l.interface.router, l.interface.ifindex))
     }
 
     /// The ingress point of a link id.

@@ -2,11 +2,10 @@
 
 use ipd_lpm::{Addr, Prefix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// What kind of network an AS is — drives link class, placement, and
 /// dynamics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsKind {
     /// Content delivery network: many PNI links, /28-granular server
     /// mappings, demand-driven remapping.
@@ -22,7 +21,7 @@ pub enum AsKind {
 }
 
 /// Scripted per-AS dynamics, used to reproduce the miss taxonomy of §5.1.2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AsBehavior {
     /// No scripted events (background remap rate still applies).
     Stable,
@@ -53,7 +52,7 @@ pub enum AsBehavior {
 }
 
 /// One neighbor AS: identity, traffic weight, address space, link layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsProfile {
     /// AS number.
     pub asn: u32,

@@ -130,14 +130,6 @@ impl MappingState {
         self.regions.exact(region)
     }
 
-    /// All exceptions inside `region` (O(|subtree|), not O(|exceptions|)).
-    pub fn exceptions_within(&self, region: Prefix) -> Vec<(Prefix, IngressChoice)> {
-        self.exceptions
-            .iter_within(region)
-            .map(|(p, c)| (p, c.clone()))
-            .collect()
-    }
-
     /// Remove every exception inside `region` (night-time consolidation).
     /// Returns how many were removed.
     pub fn clear_exceptions_within(&mut self, region: Prefix) -> usize {

@@ -17,9 +17,8 @@
 //!   and always at a link the origin AS legitimately announces.
 //!
 //! The stream stays a deterministic function of the seed and keeps the
-//! non-decreasing-timestamp invariant `pump_stream` and the bucket driver
-//! require: injected flows are stamped with the second of the base draw
-//! they ride on.
+//! non-decreasing-timestamp invariant the bucket driver requires: injected
+//! flows are stamped with the second of the base draw they ride on.
 //!
 //! [`AsLinks`]: ipd_bgp::dfz::AsLinks
 //! [`ChurnModel`]: ipd_bgp::dfz::ChurnModel
@@ -175,11 +174,6 @@ impl<'a> ScenarioStream<'a> {
             counter: 0,
             pending: None,
         }
-    }
-
-    /// Base draws made so far (see [`DfzFlowStream::draws`]).
-    pub fn base_draws(&self) -> u64 {
-        self.base.draws()
     }
 
     /// Forge one flow: a source from a victim prefix injected at a link its

@@ -154,12 +154,6 @@ impl FlowSim {
         &self.world
     }
 
-    /// Mutable world access (eval harnesses sometimes need to advance or
-    /// inspect between minutes).
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
-    }
-
     /// The config.
     pub fn config(&self) -> &SimConfig {
         &self.cfg

@@ -15,7 +15,7 @@ use std::thread;
 use std::time::Instant;
 
 use crossbeam::channel::bounded;
-use ipd_suite::ipd::pipeline::{run_reader, IpdPipeline, PipelineConfig, PipelineOutput};
+use ipd_suite::ipd::pipeline::{run_reader, IpdPipeline, NoopHook, PipelineConfig, PipelineOutput};
 use ipd_suite::ipd::IpdParams;
 use ipd_suite::netflow::ipfix::IpfixExporter;
 use ipd_suite::netflow::v5::V5Exporter;
@@ -42,15 +42,18 @@ fn main() {
     );
 
     // Engine thread.
-    let pipeline = IpdPipeline::spawn(PipelineConfig {
-        params: IpdParams {
-            // n_cidr factors scaled to the flow rate (see ipd-eval docs).
-            ncidr_factor_v4: 64.0 / 32.0e6 * FLOWS_PER_MINUTE as f64,
-            ncidr_factor_v6: FLOWS_PER_MINUTE as f64 * 1.5e-11,
-            ..IpdParams::default()
+    let pipeline = IpdPipeline::spawn_hooked(
+        PipelineConfig {
+            params: IpdParams {
+                // n_cidr factors scaled to the flow rate (see ipd-eval docs).
+                ncidr_factor_v4: 64.0 / 32.0e6 * FLOWS_PER_MINUTE as f64,
+                ncidr_factor_v6: FLOWS_PER_MINUTE as f64 * 1.5e-11,
+                ..IpdParams::default()
+            },
+            ..PipelineConfig::default()
         },
-        ..PipelineConfig::default()
-    })
+        Box::new(NoopHook),
+    )
     .expect("valid params");
 
     // Reader threads, sharded by router id (IPFIX template caches are
@@ -148,7 +151,7 @@ fn main() {
         decoded += stats.records;
         gaps += stats.sequence_gap;
     }
-    let (engine, _leftover) = pipeline.finish();
+    let (engine, _, _leftover) = pipeline.finish_hooked();
     let (ticks, snaps, classified) = printer.join().expect("printer thread");
 
     let elapsed = started.elapsed().as_secs_f64();

@@ -9,10 +9,10 @@
 //! idea in-process: a fixed 2-country / 3-router ISP, three neighbor
 //! networks with scripted behavior, and a narrated run that shows every
 //! concept of §3 — splitting, classification, bundles, invalidation, decay
-//! and the snapshot diff an operator would watch.
+//! and the ingress moves an operator would watch.
 
 use ipd_suite::ipd::output::default_ingress_format;
-use ipd_suite::ipd::{IpdEngine, IpdParams, SnapshotDiff};
+use ipd_suite::ipd::{IpdEngine, IpdParams, ServedRow, StoreDelta};
 use ipd_suite::lpm::Addr;
 use ipd_suite::topology::IngressPoint;
 use rand::rngs::StdRng;
@@ -66,12 +66,20 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2024);
 
     println!("mini internet: student net → R1.1, CDN → bundle R2.[1+2], LB net → R1.7/R3.7\n");
-    let mut prev = engine.snapshot(0);
+    let mut prev: Vec<ServedRow> = Vec::new();
     for minute in 0..14u64 {
         feed(&mut engine, &mut rng, minute);
         let report = engine.tick((minute + 1) * 60);
-        let snap = engine.snapshot((minute + 1) * 60);
-        let diff = SnapshotDiff::between(&prev, &snap);
+        let rows = engine.served_rows();
+        // Ranges served both before and after, now at another ingress.
+        let moved: Vec<String> = StoreDelta::between_rows(&prev, &rows)
+            .upserts
+            .iter()
+            .filter_map(|(p, to, _)| {
+                let from = &prev[prev.binary_search_by_key(p, |r| r.0).ok()?].1;
+                (from != to).then(|| format!("{p} {from}→{to}"))
+            })
+            .collect();
         print!(
             "minute {:>2}: {:>2} ranges",
             minute + 1,
@@ -86,18 +94,11 @@ fn main() {
         if !report.lb_suspects.is_empty() {
             print!(", {} load-balancing suspect(s)", report.lb_suspects.len());
         }
-        if !diff.moved.is_empty() {
-            print!(
-                ", moved: {}",
-                diff.moved
-                    .iter()
-                    .map(|(p, from, to)| format!("{p} {from}→{to}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
+        if !moved.is_empty() {
+            print!(", moved: {}", moved.join(" "));
         }
         println!();
-        prev = snap;
+        prev = rows;
     }
 
     let snap = engine.snapshot(14 * 60);

@@ -37,12 +37,6 @@ impl BenchmarkId {
             id: format!("{}/{}", function_id.into(), parameter),
         }
     }
-
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
 }
 
 /// Top-level benchmark driver.

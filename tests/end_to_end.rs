@@ -176,7 +176,7 @@ fn wire_stattime_engine_validation() {
 
 #[test]
 fn threaded_pipeline_agrees_with_direct_ingestion() {
-    use ipd_suite::ipd::pipeline::{IpdPipeline, PipelineConfig};
+    use ipd_suite::ipd::pipeline::{IpdPipeline, NoopHook, PipelineConfig};
 
     let world = World::generate(WorldConfig::default(), 7);
     let mut sim = FlowSim::new(
@@ -199,17 +199,26 @@ fn threaded_pipeline_agrees_with_direct_ingestion() {
     // Direct.
     let mut direct = IpdEngine::new(scaled_params()).unwrap();
     {
-        use ipd_suite::ipd::pipeline::run_offline;
-        run_offline(&mut direct, batches.iter().flatten().cloned(), 5, |_| {});
+        use ipd_suite::ipd::pipeline::{run_offline, BucketDriver, NoopHook};
+        run_offline(
+            &mut direct,
+            BucketDriver::new(5),
+            batches.iter().flatten().cloned(),
+            &mut NoopHook,
+            |_| {},
+        );
     }
 
     // Threaded.
-    let pipeline = IpdPipeline::spawn(PipelineConfig {
-        params: scaled_params(),
-        channel_capacity: 64,
-        snapshot_every_ticks: 5,
-        ..Default::default()
-    })
+    let pipeline = IpdPipeline::spawn_hooked(
+        PipelineConfig {
+            params: scaled_params(),
+            channel_capacity: 64,
+            snapshot_every_ticks: 5,
+            ..Default::default()
+        },
+        Box::new(NoopHook),
+    )
     .unwrap();
     let tx = pipeline.input();
     let rx = pipeline.output().clone();
@@ -218,7 +227,7 @@ fn threaded_pipeline_agrees_with_direct_ingestion() {
         tx.send(b.clone()).unwrap();
     }
     drop(tx);
-    let (threaded, _) = pipeline.finish();
+    let (threaded, _, _) = pipeline.finish_hooked();
     let outputs = drain.join().unwrap();
 
     assert!(outputs > 0);

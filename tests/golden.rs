@@ -10,7 +10,7 @@
 //! or not — this test is the tripwire. Update the constants only for an
 //! *intentional* behavior change, and say so in the commit.
 
-use ipd_suite::ipd::pipeline::{run_offline, run_offline_with, PipelineOutput};
+use ipd_suite::ipd::pipeline::{run_offline, BucketDriver, NoopHook, PipelineOutput};
 use ipd_suite::ipd::{CountMode, IpdEngine, IpdParams, LogicalIngress, Snapshot};
 use ipd_suite::netflow::FlowRecord;
 use ipd_suite::serve::{ServePublisher, ServeTelemetry};
@@ -78,7 +78,13 @@ fn golden_run_is_bit_for_bit_stable() {
     let flows = golden_flows();
     let mut engine = IpdEngine::new(golden_params()).unwrap();
     let mut outputs = Vec::new();
-    run_offline(&mut engine, flows.iter().cloned(), 5, |o| outputs.push(o));
+    run_offline(
+        &mut engine,
+        BucketDriver::new(5),
+        flows.iter().cloned(),
+        &mut NoopHook,
+        |o| outputs.push(o),
+    );
     let snap = last_snapshot(outputs);
 
     assert_eq!(
@@ -110,7 +116,13 @@ fn golden_bytes_mode_run_is_stable() {
     };
     let mut engine = IpdEngine::new(params).unwrap();
     let mut outputs = Vec::new();
-    run_offline(&mut engine, flows.iter().cloned(), 5, |o| outputs.push(o));
+    run_offline(
+        &mut engine,
+        BucketDriver::new(5),
+        flows.iter().cloned(),
+        &mut NoopHook,
+        |o| outputs.push(o),
+    );
     let snap = last_snapshot(outputs);
     assert_eq!(engine.stats().flows_ingested, GOLDEN_FLOWS);
     assert_eq!(
@@ -161,11 +173,10 @@ fn golden_live_store_digest_is_stable_and_region_invariant() {
         let swap = hook.swap();
         let mut engine = IpdEngine::new(golden_params()).unwrap();
         let mut outputs = Vec::new();
-        run_offline_with(
+        run_offline(
             &mut engine,
+            BucketDriver::new(5),
             flows.iter().cloned(),
-            5,
-            None,
             &mut hook,
             |o| outputs.push(o),
         );

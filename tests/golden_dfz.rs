@@ -9,7 +9,7 @@
 //! constants only for an *intentional* behavior change, and say so in the
 //! commit (see `tests/golden.rs` for the paper-scale counterpart).
 
-use ipd_suite::ipd::pipeline::{run_offline, PipelineOutput};
+use ipd_suite::ipd::pipeline::{run_offline, BucketDriver, NoopHook, PipelineOutput};
 use ipd_suite::ipd::{IpdEngine, IpdParams, Snapshot};
 use ipd_suite::netflow::FlowRecord;
 use ipd_suite::traffic::{DfzConfig, DfzWorld};
@@ -69,7 +69,13 @@ fn golden_dfz_churned_run_is_bit_for_bit_stable() {
     let flows = golden_flows();
     let mut engine = IpdEngine::new(golden_params()).unwrap();
     let mut outputs = Vec::new();
-    run_offline(&mut engine, flows.iter().cloned(), 5, |o| outputs.push(o));
+    run_offline(
+        &mut engine,
+        BucketDriver::new(5),
+        flows.iter().cloned(),
+        &mut NoopHook,
+        |o| outputs.push(o),
+    );
     let snap = last_snapshot(outputs);
 
     assert_eq!(

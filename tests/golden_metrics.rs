@@ -10,8 +10,8 @@
 //! update the constants only for an intentional accounting change, and say
 //! so in the commit.
 
-use ipd_suite::ipd::pipeline::{run_offline_instrumented, NoopHook};
-use ipd_suite::ipd::{IpdEngine, IpdParams};
+use ipd_suite::ipd::pipeline::{run_offline, BucketDriver, NoopHook};
+use ipd_suite::ipd::{CoreTelemetry, IpdEngine, IpdParams};
 use ipd_suite::netflow::FlowRecord;
 use ipd_suite::telemetry::{MetricsSnapshot, Telemetry};
 use ipd_suite::traffic::{FlowSim, SimConfig, World, WorldConfig};
@@ -64,13 +64,11 @@ fn golden_flows() -> Vec<FlowRecord> {
 fn instrumented_run() -> MetricsSnapshot {
     let telemetry = Telemetry::new();
     let mut engine = IpdEngine::new(golden_params()).unwrap();
-    run_offline_instrumented(
+    run_offline(
         &mut engine,
+        BucketDriver::new(SNAPSHOT_EVERY).with_metrics(CoreTelemetry::register(&telemetry)),
         golden_flows(),
-        SNAPSHOT_EVERY,
-        None,
         &mut NoopHook,
-        &telemetry,
         |_| {},
     );
     telemetry.snapshot()
