@@ -1,7 +1,8 @@
 //! Serving-layer read path: single-reader lookup throughput against a
-//! 131k-prefix store (the acceptance floor is 1M lookups/s on one thread),
-//! scaling to 4 reader threads, the cost of the epoch check itself, and
-//! the wire codec.
+//! 131k-prefix [`LiveStore`](ipd_serve::LiveStore) — the map the server
+//! serves — behind the same [`EpochSwap`] its connections read through
+//! (the acceptance floor is 1M lookups/s on one thread), scaling to 4
+//! reader threads, the cost of the epoch check itself, and the wire codec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ipd_bench::{lookup_keys, serve_store};

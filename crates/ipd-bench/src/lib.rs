@@ -2,11 +2,10 @@
 //! batches so individual benches measure the system under test, not the
 //! generator.
 
-use ipd::output::{IpdRangeRecord, Snapshot};
-use ipd::LogicalIngress;
+use ipd::{LogicalIngress, ServedRow};
 use ipd_lpm::{Addr, Prefix};
 use ipd_netflow::FlowRecord;
-use ipd_serve::IngressStore;
+use ipd_serve::LiveStore;
 use ipd_topology::IngressPoint;
 use ipd_traffic::{FlowSim, SimConfig, World, WorldConfig};
 
@@ -34,16 +33,16 @@ pub fn scaled_factor(flows_per_minute: u64) -> f64 {
     64.0 / 32.0e6 * flows_per_minute as f64
 }
 
-/// Deterministic serving-layer fixture: an [`IngressStore`] holding
-/// `prefix_count` classified v4 ranges of mixed lengths (/12../28, nesting
-/// allowed — the LPM resolves it), spread over 64 ingress routers. Built
-/// through the same snapshot path the live publisher uses, so the bench
-/// measures the real read-side structure.
-pub fn serve_store(prefix_count: usize) -> IngressStore {
-    let mut records = Vec::with_capacity(prefix_count);
+/// Deterministic serving-layer fixture: the served map type, a
+/// [`LiveStore`], holding `prefix_count` classified v4 ranges of mixed
+/// lengths (/12../28, nesting allowed — the LPM resolves it), spread over
+/// 64 ingress routers, published in one [`LiveStore::publish_full`] like a
+/// compaction rotation or a history rebuild.
+pub fn serve_store(prefix_count: usize) -> LiveStore {
+    let mut rows: Vec<ServedRow> = Vec::with_capacity(prefix_count);
     let mut seen = std::collections::HashSet::with_capacity(prefix_count * 2);
     let mut x = 0x2545_F491_4F6C_DD1Du64;
-    while records.len() < prefix_count {
+    while rows.len() < prefix_count {
         x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
         let len = 12 + (x >> 48) as u8 % 17;
         let range = Prefix::of(Addr::v4((x >> 16) as u32), len);
@@ -51,23 +50,12 @@ pub fn serve_store(prefix_count: usize) -> IngressStore {
             continue;
         }
         let router = 1 + ((x >> 8) as u32 % 64);
-        records.push(IpdRangeRecord {
-            ts: 600,
-            range,
-            classified: true,
-            ingress: Some(LogicalIngress::Link(IngressPoint::new(
-                router,
-                1 + (x as u16 % 8),
-            ))),
-            confidence: 0.95 + (x % 50) as f64 / 1000.0,
-            sample_count: 1_000.0,
-            n_cidr: 64.0,
-            since: Some(540),
-            shares: Vec::new(),
-        });
+        let ingress = LogicalIngress::Link(IngressPoint::new(router, 1 + (x as u16 % 8)));
+        rows.push((range, ingress, 0.95 + (x % 50) as f64 / 1000.0));
     }
-    records.sort_by_key(|r| r.range);
-    IngressStore::from_snapshot(&Snapshot { ts: 600, records })
+    let store = LiveStore::new();
+    store.publish_full(&rows, 600);
+    store
 }
 
 /// Deterministic v4 lookup keys, uniformly sprayed — a mix of hits and

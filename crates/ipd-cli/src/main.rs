@@ -43,8 +43,7 @@ use ipd_serve::{
     ServeTelemetry,
 };
 use ipd_spoof::{
-    MapView, RouteExpect, SpoofDetector, SpoofReport, SpoofRunConfig, SpoofTelemetry,
-    VerdictDigest, VerdictRecord,
+    MapView, RouteExpect, SpoofDetector, SpoofReport, SpoofRunConfig, SpoofScorer, SpoofTelemetry,
 };
 use ipd_state::{read_journal, CheckpointStore, Durable, DurableConfig};
 use ipd_telemetry::{install_panic_dump, Json, MetricsServer, StallDetector, StatusHub, Telemetry};
@@ -1174,60 +1173,10 @@ fn spoof_against_checkpoint(
     let mut scorer = SpoofScorer::default();
     for sf in scenario.stream(&world, minutes) {
         let observed = IngressPoint::new(sf.flow.router, sf.flow.input_if);
-        let map = match live.value.lookup(sf.flow.src) {
-            None => MapView::Unmapped,
-            Some(a) if a.ingress.matches(observed) => MapView::Match,
-            Some(_) => MapView::Mismatch,
-        };
+        let map = MapView::of(live.value.lookup(sf.flow.src), observed);
         scorer.judge(&detector, &sf, observed, map, epoch);
     }
     Ok(scorer.finish(epoch))
-}
-
-/// Confusion accounting shared by the server and checkpoint modes (the
-/// offline mode keeps its own inside `ipd-spoof`, where the publication
-/// loop lives).
-#[derive(Default)]
-struct SpoofScorer {
-    flows: u64,
-    verdicts: [u64; 3],
-    matrix: [[u64; 3]; 3],
-    digest: VerdictDigest,
-}
-
-impl SpoofScorer {
-    fn judge(
-        &mut self,
-        detector: &SpoofDetector,
-        sf: &ipd_traffic::ScenarioFlow,
-        observed: IngressPoint,
-        map: MapView,
-        epoch: u64,
-    ) {
-        let verdict = detector.decide(sf.flow.src, observed, sf.flow.ts, map);
-        self.digest.observe(&VerdictRecord {
-            ts: sf.flow.ts,
-            src: sf.flow.src,
-            observed,
-            verdict,
-            label: Some(sf.label),
-            epoch,
-        });
-        self.flows += 1;
-        self.verdicts[verdict.index()] += 1;
-        self.matrix[sf.label.code() as usize][verdict.index()] += 1;
-    }
-
-    fn finish(self, epochs: u64) -> SpoofReport {
-        SpoofReport {
-            flows: self.flows,
-            ticks: 0,
-            epochs,
-            verdicts: self.verdicts,
-            matrix: self.matrix,
-            digest: self.digest.finish(),
-        }
-    }
 }
 
 /// `hist record`: run a trace or the DFZ-scale substrate through the

@@ -168,8 +168,8 @@ impl Snapshot {
     /// Order-sensitive FNV-1a 64-bit digest over a canonical encoding of the
     /// whole snapshot. Two snapshots digest equal exactly when the timestamp
     /// and every record — including the *bit patterns* of the f64 fields —
-    /// are equal, so the golden-determinism and sharded-equivalence tests
-    /// can pin a run to a single number.
+    /// are equal, so the golden-determinism tests can pin a run to a
+    /// single number.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

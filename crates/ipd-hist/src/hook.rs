@@ -125,9 +125,10 @@ mod tests {
         let final_store = reader.store_at(6).unwrap().unwrap();
         assert_eq!(final_store.ts(), 360);
         assert!(!final_store.is_empty());
-        // Every epoch reconstructs.
+        // Every epoch reconstructs, stamped with its own epoch.
         for e in 1..=6 {
-            assert!(reader.store_at(e).unwrap().is_some(), "epoch {e} missing");
+            let store = reader.store_at(e).unwrap();
+            assert_eq!(store.map(|s| s.epoch()), Some(e), "epoch {e}");
         }
         assert!(reader.store_at(7).unwrap().is_none());
         drop(hook);

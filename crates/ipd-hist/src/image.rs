@@ -2,13 +2,13 @@
 //! canonical sorted rows, plus row-level deltas between consecutive epochs.
 //!
 //! Rows are exactly what the engine serves ([`ipd::IpdEngine::served_rows`])
-//! and [`IngressStore::iter`] yields — `(range, ingress, confidence)` — held
+//! and [`LiveStore::rows`] yields — `(range, ingress, confidence)` — held
 //! strictly ascending by prefix. That canonical order is what makes
 //! segments content-comparable and a delta one two-pointer merge.
 
 use ipd::{ServedRow, StoreDelta};
 use ipd_lpm::Prefix;
-use ipd_serve::IngressStore;
+use ipd_serve::LiveStore;
 
 use crate::codec::append_row_bytes;
 
@@ -34,27 +34,17 @@ impl EpochImage {
         EpochImage { epoch, ts, rows }
     }
 
-    /// Capture a published [`IngressStore`] as epoch `epoch`.
-    pub fn from_store(epoch: u64, store: &IngressStore) -> Self {
-        Self::new(
-            epoch,
-            store.ts(),
-            store
-                .iter()
-                .map(|(p, ing, c)| (p, ing.clone(), c))
-                .collect(),
-        )
-    }
-
     /// The canonical rows, strictly ascending by prefix.
     pub fn rows(&self) -> &[Row] {
         &self.rows
     }
 
-    /// Rebuild the servable store — bit-identical to the one the rows were
-    /// captured from (`ipd-serve` pins this in `from_rows_rebuilds_bit_identically`).
-    pub fn to_store(&self) -> IngressStore {
-        IngressStore::from_rows(self.ts, self.rows.iter().cloned())
+    /// Rebuild the servable store: the rows published into a fresh
+    /// [`LiveStore`] whose [`LiveStore::epoch`] is this image's epoch.
+    pub fn to_store(&self) -> LiveStore {
+        let store = LiveStore::with_base_epoch(self.epoch.saturating_sub(1));
+        store.publish_full(&self.rows, self.ts);
+        store
     }
 
     /// This exact row, if present (exact-prefix match, not LPM).

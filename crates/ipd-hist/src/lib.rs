@@ -18,13 +18,15 @@
 //!   *keyframes*, deltas elsewhere), a crash-safe generation-swapped
 //!   manifest, and background compaction folding delta runs so any epoch
 //!   reconstructs from at most `keyframe_every` segment reads.
-//! * [`HistReader`] — the time-travel query API: `store_at(epoch)` /
-//!   `store_at_time(ts)` rebuild the exact [`ipd_serve::IngressStore`]
-//!   published at that point (bit-identical, confidence included),
-//!   `diff(a, b)` lists per-prefix ingress changes, and
-//!   [`HistReader::stability`] summarizes a prefix's churn. Implements
-//!   [`ipd_serve::HistoryProvider`], so `ipd-tool serve --hist-dir` answers
-//!   the wire ops `QueryAt` and `DiffRange` from history.
+//! * [`HistReader`] — the time-travel query API: `store_at(epoch)`
+//!   rebuilds the map published at that epoch as the served map type,
+//!   an [`ipd_serve::LiveStore`] whose `epoch()` is the requested epoch
+//!   (bit-identical, confidence included); `epoch_at_time(ts)` finds the
+//!   epoch serving a simulation time, `diff(a, b)` lists per-prefix ingress
+//!   changes, and [`HistReader::stability`] summarizes a prefix's churn.
+//!   Implements [`ipd_serve::HistoryProvider`], so `ipd-tool serve
+//!   --hist-dir` answers the wire ops `QueryAt` and `DiffRange` from
+//!   history.
 //! * [`HistPublisher`] — the [`ipd::pipeline::PipelineHook`] that records
 //!   an epoch at every bucket close, numbering epochs exactly like the
 //!   live `ServePublisher`.
@@ -36,7 +38,7 @@
 //! Epoch N in the history is **the** map served live at epoch N: rebuilt
 //! stores are bit-identical (prefixes, ingresses, confidence bits) to the
 //! `snapshot.lpm_table()` captured at the boundary — the differential
-//! suite pins this across plain and sharded engines. Segments are written
+//! suite pins this at every epoch of a churned stream. Segments are written
 //! once and never modified; compaction only *replaces* a delta with the
 //! equivalent full image, committing via atomic manifest swap before
 //! deleting anything. Memory stays bounded by the memtable depth, never by

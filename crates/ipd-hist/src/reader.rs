@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use ipd::{LogicalIngress, PrefixChange};
 use ipd_lpm::Prefix;
-use ipd_serve::{HistoryProvider, IngressStore};
+use ipd_serve::{HistoryProvider, LiveStore};
 
 use crate::codec::{SegmentKind, SegmentPayload};
 use crate::image::EpochImage;
@@ -70,9 +70,9 @@ impl HistReader {
         self.inner.image_at(&mut st, epoch)
     }
 
-    /// The servable [`IngressStore`] at `epoch` — bit-identical to the one
-    /// published live at that epoch.
-    pub fn store_at(&self, epoch: u64) -> Result<Option<IngressStore>, HistError> {
+    /// The servable [`LiveStore`] at `epoch`, stamped with that epoch —
+    /// bit-identical to the one published live at that epoch.
+    pub fn store_at(&self, epoch: u64) -> Result<Option<LiveStore>, HistError> {
         Ok(self.image_at(epoch)?.map(|img| img.to_store()))
     }
 
@@ -86,14 +86,6 @@ impl HistReader {
             .take_while(|e| e.ts <= ts)
             .last()
             .map(|e| e.epoch)
-    }
-
-    /// The servable store as of simulation time `ts`.
-    pub fn store_at_time(&self, ts: u64) -> Result<Option<IngressStore>, HistError> {
-        match self.epoch_at_time(ts) {
-            Some(e) => self.store_at(e),
-            None => Ok(None),
-        }
     }
 
     /// Ingress-level changes from epoch `from` to epoch `to`, sorted by
@@ -256,7 +248,7 @@ impl HistReader {
 /// The serve-side seam: errors degrade to "not held" — a corrupt segment
 /// store must not take the live query plane down with it.
 impl HistoryProvider for HistReader {
-    fn at_epoch(&self, epoch: u64) -> Option<IngressStore> {
+    fn at_epoch(&self, epoch: u64) -> Option<LiveStore> {
         self.store_at(epoch).ok().flatten()
     }
 

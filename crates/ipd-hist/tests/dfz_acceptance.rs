@@ -7,14 +7,13 @@
 //! Live truth is kept as one digest per epoch (`EpochImage::digest`, which
 //! covers every row including the confidence bit patterns) — holding a
 //! thousand full snapshots would itself break the memory bound the test
-//! asserts. One mid-run epoch additionally keeps its full live store for a
+//! asserts. One mid-run epoch additionally keeps its full image for a
 //! row-by-row comparison.
 
 use ipd::pipeline::{run_offline, BucketClock, BucketDriver, PipelineHook};
 use ipd::{IpdEngine, IpdParams};
 use ipd_hist::codec::{encode_segment, Segment};
 use ipd_hist::{EpochImage, HistConfig, HistStore, HistTelemetry};
-use ipd_serve::IngressStore;
 use ipd_traffic::{DfzConfig, DfzWorld};
 
 const KEYFRAME_EVERY: u64 = 8;
@@ -24,17 +23,16 @@ const KEEP_EPOCH: u64 = 500;
 struct AcceptanceHook {
     store: HistStore,
     digests: Vec<u64>,
-    kept: Option<IngressStore>,
+    kept: Option<EpochImage>,
 }
 
 impl AcceptanceHook {
     fn publish(&mut self, engine: &IpdEngine, ts: u64) {
         let epoch = self.store.last_epoch() + 1;
-        let live = IngressStore::from_engine(engine, ts);
-        let image = EpochImage::from_store(epoch, &live);
+        let image = EpochImage::new(epoch, ts, engine.served_rows());
         self.digests.push(image.digest());
         if epoch == KEEP_EPOCH {
-            self.kept = Some(live);
+            self.kept = Some(image.clone());
         }
         self.store.append(image).expect("append");
     }
@@ -148,16 +146,20 @@ fn dfz_thousand_epoch_history_reconstructs_within_k_reads() {
         "the bound was never exercised past the memtable"
     );
 
-    // Row-by-row spot check against the one fully retained live store.
+    // Row-by-row spot check against the one fully retained live image.
     let kept = hook.kept.expect("mid-run epoch retained");
     let rebuilt = reader
         .store_at(KEEP_EPOCH)
         .expect("reconstruct")
         .expect("held");
-    assert!(!kept.is_empty(), "the churned run must classify something");
-    assert_eq!(rebuilt.ts(), kept.ts());
-    assert_eq!(rebuilt.len(), kept.len());
-    for ((p1, i1, c1), (p2, i2, c2)) in rebuilt.iter().zip(kept.iter()) {
+    assert!(
+        !kept.rows().is_empty(),
+        "the churned run must classify something"
+    );
+    assert_eq!(rebuilt.epoch(), KEEP_EPOCH);
+    assert_eq!(rebuilt.ts(), kept.ts);
+    assert_eq!(rebuilt.len(), kept.rows().len());
+    for ((p1, i1, c1), (p2, i2, c2)) in rebuilt.rows().iter().zip(kept.rows()) {
         assert_eq!(p1, p2);
         assert_eq!(i1, i2);
         assert_eq!(c1.to_bits(), c2.to_bits());

@@ -18,8 +18,7 @@ use ipd_lpm::Addr;
 use ipd_netflow::FlowRecord;
 use ipd_serve::proto::WireAnswer;
 use ipd_serve::{
-    EpochSwap, HistoryProvider, IngressStore, LiveStore, ServeClient, ServePublisher, ServeServer,
-    ServeTelemetry,
+    EpochSwap, HistoryProvider, LiveStore, ServeClient, ServePublisher, ServeServer, ServeTelemetry,
 };
 use ipd_traffic::{DfzConfig, DfzWorld};
 
@@ -148,7 +147,8 @@ fn probes(snapshot: &Snapshot) -> Vec<Addr> {
     addrs
 }
 
-fn assert_store_matches_snapshot(store: &IngressStore, snapshot: &Snapshot, epoch: u64) {
+fn assert_store_matches_snapshot(store: &LiveStore, snapshot: &Snapshot, epoch: u64) {
+    assert_eq!(store.epoch(), epoch, "epoch {epoch}: rebuilt store's epoch");
     assert_eq!(store.ts(), snapshot.ts, "epoch {epoch}: boundary stamp");
     let table = snapshot.lpm_table();
     assert_eq!(store.len(), table.len(), "epoch {epoch}: row count");

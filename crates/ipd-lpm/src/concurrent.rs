@@ -246,8 +246,6 @@ pub struct ConcurrentLpm<V> {
     seq: AtomicU64,
     /// Live prefix count.
     len: AtomicUsize,
-    /// Live prefix count per prefix length (0..=128).
-    lens: Box<[AtomicUsize]>,
     /// Dead value cells (overwritten or removed) retained by the arena.
     garbage: AtomicUsize,
     writer: Mutex<()>,
@@ -277,7 +275,6 @@ impl<V> ConcurrentLpm<V> {
             values: ValueArena::new(),
             seq: AtomicU64::new(0),
             len: AtomicUsize::new(0),
-            lens: (0..=128).map(|_| AtomicUsize::new(0)).collect(),
             garbage: AtomicUsize::new(0),
             writer: Mutex::new(()),
         };
@@ -359,12 +356,6 @@ impl<V> ConcurrentLpm<V> {
     /// Whether no prefix is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Live prefixes of exactly `len` bits — the per-length buckets the
-    /// serving layer aggregates across regions.
-    pub fn len_at(&self, len: u8) -> usize {
-        self.lens[len as usize].load(Ordering::Relaxed)
     }
 
     /// Dead value cells retained by the append-only arena. The publisher
@@ -556,7 +547,6 @@ impl<V> Updater<'_, V> {
         s.seq.fetch_add(1, Ordering::Release);
         if old == NONE {
             s.len.fetch_add(1, Ordering::Relaxed);
-            s.lens[p.len() as usize].fetch_add(1, Ordering::Relaxed);
             true
         } else {
             s.garbage.fetch_add(1, Ordering::Relaxed);
@@ -590,7 +580,6 @@ impl<V> Updater<'_, V> {
         pause();
         s.seq.fetch_add(1, Ordering::Release);
         s.len.fetch_sub(1, Ordering::Relaxed);
-        s.lens[p.len() as usize].fetch_sub(1, Ordering::Relaxed);
         s.garbage.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -624,7 +613,6 @@ mod tests {
         assert!(!u.insert(p("10.1.0.0/16"), 20)); // update, not new
         drop(u);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.len_at(16), 1);
         assert_eq!(s.garbage(), 1);
         assert_eq!(s.seq(), 8);
 

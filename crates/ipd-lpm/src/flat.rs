@@ -1,4 +1,4 @@
-//! A flattened, read-only longest-prefix-match table for serving.
+//! A flattened, read-only longest-prefix-match table.
 //!
 //! [`LpmTrie`] is the mutable build-side structure; [`FlatLpm`] is its
 //! immutable read-side twin: every node lives in one contiguous `Vec`
@@ -7,7 +7,8 @@
 //! top half of the walk in a single indexed load. The result is
 //! cache-friendly, trivially shareable across threads (`&FlatLpm` is all a
 //! reader needs), and bit-identical to [`LpmTrie::lookup`] for every
-//! address — the property the serving layer's differential suite pins.
+//! address — the property `tests/prop.rs` and the `lpm` fuzz target pin.
+//! The spoof detector's route expectation (`ipd-spoof`) is built on it.
 
 use crate::addr::{Addr, Af};
 use crate::prefix::Prefix;
@@ -51,8 +52,7 @@ struct StrideSlot {
 
 /// An immutable, flattened LPM table. Build once (from an [`LpmTrie`] or an
 /// iterator of `(Prefix, V)` pairs), look up forever; there is no mutation
-/// API by design — the serving layer swaps whole tables instead of editing
-/// them in place.
+/// API by design.
 #[derive(Debug, Clone)]
 pub struct FlatLpm<V> {
     nodes: Vec<FlatNode>,
@@ -92,14 +92,6 @@ impl<V> FlatLpm<V> {
     /// Whether the table holds no prefixes.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Approximate heap footprint in bytes (nodes + stride tables +
-    /// entry headers; `V`'s own heap allocations are not counted).
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<FlatNode>()
-            + (self.v4_stride.len() + self.v6_stride.len()) * std::mem::size_of::<StrideSlot>()
-            + self.entries.len() * std::mem::size_of::<(Prefix, V)>()
     }
 
     fn root(af: Af) -> u32 {
@@ -220,11 +212,6 @@ impl<V> FlatLpm<V> {
         }
         let (prefix, value) = &self.entries[best as usize];
         Some((*prefix, value))
-    }
-
-    /// Iterate over all `(prefix, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> {
-        self.entries.iter().map(|(p, v)| (*p, v))
     }
 }
 
@@ -349,8 +336,5 @@ mod tests {
         assert_eq!(flat.len(), 2);
         assert_eq!(flat.lookup(a("10.2.3.4")).unwrap().1, &1);
         assert_eq!(flat.lookup(a("2001:db8::9")).unwrap().1, &2);
-        assert!(flat.memory_bytes() > 0);
-        let keys: Vec<Prefix> = flat.iter().map(|(p, _)| p).collect();
-        assert_eq!(keys.len(), 2);
     }
 }

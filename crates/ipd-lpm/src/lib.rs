@@ -1,8 +1,7 @@
 //! Longest-prefix-match trie and the canonical address/prefix types shared by
 //! the IPD reproduction.
 //!
-//! This crate sits at the bottom of the workspace dependency graph and provides
-//! three things:
+//! This crate sits at the bottom of the workspace dependency graph and provides:
 //!
 //! * [`Addr`] — an address-family-tagged IP address (IPv4 or IPv6) stored as a
 //!   `u128`, cheap to copy and mask.
@@ -12,12 +11,13 @@
 //!   [`Prefix`], used for the validation lookup table of §5.1 of the paper and
 //!   for all BGP lookups.
 //! * [`FlatLpm`] — the immutable, flattened read-side twin of [`LpmTrie`]:
-//!   contiguous nodes plus a 16-bit stride table, built once and shared
-//!   across reader threads by the serving layer (`ipd-serve`).
+//!   contiguous nodes plus a 16-bit stride table, built once and then only
+//!   read. The spoof detector's BGP route expectation (`ipd-spoof`) uses it.
 //! * [`ConcurrentLpm`] — the mutable concurrent sibling: a stride-4
 //!   tree-bitmap store updated in place by one writer while readers perform
-//!   seqlock-validated lock-free lookups. This is the live serving table;
-//!   its consistency contract is proven by the deterministic interleaving
+//!   seqlock-validated lock-free lookups. It is the one served ingress map
+//!   (`ipd-serve`'s `LiveStore`), live and historical alike; its
+//!   consistency contract is proven by the deterministic interleaving
 //!   harness in `tests/interleave.rs`.
 //!
 //! The sequential types are deliberately simple (no unsafe anywhere in the

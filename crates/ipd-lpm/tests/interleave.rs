@@ -365,110 +365,3 @@ fn interleave_publication_smoke() {
 fn interleave_publication_full() {
     run_publication(10_000);
 }
-
-// ---------------------------------------------------------------------------
-// Scenario 3: sharded regions (K = 8), one writer round-robins across them
-// ---------------------------------------------------------------------------
-
-const K: usize = 8;
-const DEPTH: u8 = 3; // log2(K), routing on the top 3 address bits
-
-fn region_of(x: Addr) -> usize {
-    (x.bits() >> (x.af().width() - DEPTH)) as usize
-}
-
-/// Per-region op lists: nested ranges confined to each region's top-bits
-/// slice (all prefixes are /8 or longer, so no cross-region replication).
-fn sharded_ops() -> Vec<Vec<Op>> {
-    (0..K as u32)
-        .map(|r| {
-            let top = r << 29; // region r owns addresses with top bits = r
-            vec![
-                Op::Ins(Prefix::of(Addr::v4(top), 8), r * 10 + 1),
-                Op::Ins(Prefix::of(Addr::v4(top | 0x0001_0000), 16), r * 10 + 2),
-                Op::Ins(Prefix::of(Addr::v4(top | 0x0001_0200), 24), r * 10 + 3),
-                Op::Del(Prefix::of(Addr::v4(top | 0x0001_0000), 16)),
-                Op::Ins(Prefix::of(Addr::v4(top), 8), r * 10 + 4),
-                Op::Del(Prefix::of(Addr::v4(top | 0x0001_0200), 24)),
-            ]
-        })
-        .collect()
-}
-
-fn sharded_probes() -> Vec<Addr> {
-    (0..K as u32)
-        .flat_map(|r| {
-            let top = r << 29;
-            [
-                Addr::v4(top | 0x0001_0203),
-                Addr::v4(top | 0x0001_0903),
-                Addr::v4(top | 0x0F00_0001),
-            ]
-        })
-        .collect()
-}
-
-fn run_sharded(min_distinct: usize) {
-    let per_region = sharded_ops();
-    let probes = sharded_probes();
-    // Oracle per region, over the probes that route to it.
-    let probe_region: Vec<usize> = probes.iter().map(|&x| region_of(x)).collect();
-    let region_expected: Vec<_> = (0..K)
-        .map(|r| oracle_states(&per_region[r], &probes))
-        .collect();
-    explore("sharded", min_distinct, |_seed| {
-        let per_region = per_region.clone();
-        let probes = Arc::new(probes.clone());
-        let probe_region = Arc::new(probe_region.clone());
-        let region_expected = Arc::new(region_expected.clone());
-        let stores: Arc<Vec<ConcurrentLpm<u32>>> =
-            Arc::new((0..K).map(|_| ConcurrentLpm::new()).collect());
-        Box::new(move || {
-            hook_on();
-            for _ in 0..2 {
-                let (st, pr, rg, ex) = (
-                    Arc::clone(&stores),
-                    Arc::clone(&probes),
-                    Arc::clone(&probe_region),
-                    Arc::clone(&region_expected),
-                );
-                shuttle::spawn(move || {
-                    hook_on();
-                    let mut last_v = [0u64; K];
-                    for (k, &x) in pr.iter().enumerate() {
-                        let r = rg[k];
-                        let (ans, v) = st[r].lookup_versioned(x);
-                        assert_eq!(v & 1, 0);
-                        assert!(v >= last_v[r], "region {r} seq regressed");
-                        last_v[r] = v;
-                        let j = (v / 2) as usize;
-                        let got = ans.map(|(q, val)| (q, *val));
-                        assert_eq!(got, ex[r][j][k], "region {r} torn read at state {j}");
-                    }
-                });
-            }
-            // Round-robin the writer across regions so updates to different
-            // regions overlap readers of all of them.
-            let max_ops = per_region.iter().map(Vec::len).max().unwrap();
-            for i in 0..max_ops {
-                for (r, ops) in per_region.iter().enumerate() {
-                    if let Some(&op) = ops.get(i) {
-                        let mut u = stores[r].update();
-                        apply(&mut u, op);
-                    }
-                }
-            }
-        })
-    });
-}
-
-#[test]
-fn interleave_sharded_smoke() {
-    run_sharded(1_000);
-}
-
-#[test]
-#[ignore = "full schedule exploration; run explicitly"]
-fn interleave_sharded_full() {
-    run_sharded(10_000);
-}

@@ -174,65 +174,6 @@ proptest! {
         prop_assert_eq!(rows, expect);
     }
 
-    /// K regioned concurrent stores routed on the top `log2(K)` address bits
-    /// (prefixes shorter than the routing depth replicated into every region
-    /// they cover — the serving layer's sharding rule) answer exactly like
-    /// one [`LpmTrie`] over the whole table, for K ∈ {1, 8}.
-    #[test]
-    fn sharded_concurrent_matches_trie(
-        ops in proptest::collection::vec(arb_op(), 1..150),
-    ) {
-        for k in [1usize, 8] {
-            let depth = k.trailing_zeros() as u8;
-            let regions: Vec<ConcurrentLpm<u32>> =
-                (0..k).map(|_| ConcurrentLpm::new()).collect();
-            let covered = |p: Prefix| -> std::ops::Range<usize> {
-                if depth == 0 {
-                    return 0..1;
-                }
-                let w = p.af().width();
-                let start = (p.addr().bits() >> (w - depth)) as usize;
-                if p.len() >= depth {
-                    start..start + 1
-                } else {
-                    start..start + (1usize << (depth - p.len()))
-                }
-            };
-            let region_of = |a: Addr| -> usize {
-                if depth == 0 { 0 } else { (a.bits() >> (a.af().width() - depth)) as usize }
-            };
-            let mut trie = LpmTrie::new();
-            for op in &ops {
-                match *op {
-                    Op::Insert(p, v) => {
-                        trie.insert(p, v);
-                        for r in covered(p) {
-                            regions[r].update().insert(p, v);
-                        }
-                    }
-                    Op::Remove(p) => {
-                        trie.remove(p);
-                        for r in covered(p) {
-                            regions[r].update().remove(p);
-                        }
-                    }
-                    Op::Lookup(a) => {
-                        let got = regions[region_of(a)].lookup(a).map(|(p, v)| (p, *v));
-                        prop_assert_eq!(got, trie.lookup(a).map(|(p, v)| (p, *v)));
-                    }
-                }
-            }
-            // Region lens partition the table: a prefix shorter than the
-            // routing depth counts once per covered region.
-            let expect_total: usize = trie
-                .iter()
-                .map(|(p, _)| covered(p).len())
-                .sum();
-            let got_total: usize = regions.iter().map(|s| s.len()).sum();
-            prop_assert_eq!(got_total, expect_total, "K = {}", k);
-        }
-    }
-
     /// A prefix round-trips through its string representation.
     #[test]
     fn prefix_string_roundtrip(p in prop_oneof![arb_prefix_v4(), arb_prefix_v6()]) {

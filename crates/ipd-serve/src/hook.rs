@@ -16,8 +16,8 @@ use crate::telemetry::ServeTelemetry;
 const REBUILD_MIN_GARBAGE: usize = 65_536;
 
 /// Publications changing at least this many rows record a
-/// [`EventKind::ChurnBurst`] flight event — the same order as the
-/// parallel-apply threshold, i.e. churn big enough to dominate publish cost.
+/// [`EventKind::ChurnBurst`] flight event — churn big enough to dominate
+/// publish cost.
 const CHURN_BURST_CHANGES: usize = 4_096;
 
 /// Publishes into a [`LiveStore`] on every bucket crossing and at stream
@@ -36,31 +36,23 @@ const CHURN_BURST_CHANGES: usize = 4_096;
 /// numbering continuing across the rotation.
 pub struct ServePublisher {
     swap: EpochSwap<LiveStore>,
-    regions: usize,
     /// The rows the store serves: the left side of the next delta.
     prev: Vec<ServedRow>,
     metrics: ServeTelemetry,
 }
 
 impl ServePublisher {
-    /// A single-region publisher starting from the empty store at epoch 0.
-    /// Clone the returned [`EpochSwap`] before boxing the publisher into
+    /// A publisher starting from the empty store at epoch 0. Clone the
+    /// returned [`EpochSwap`] before boxing the publisher into
     /// `spawn_hooked` — it is the readers' handle.
     pub fn new() -> Self {
-        Self::with_config(1, ServeTelemetry::default())
+        Self::with_metrics(ServeTelemetry::default())
     }
 
     /// [`ServePublisher::new`] reporting into metric handles.
     pub fn with_metrics(metrics: ServeTelemetry) -> Self {
-        Self::with_config(1, metrics)
-    }
-
-    /// A publisher over `regions` store regions (power of two ≤ 256; see
-    /// [`LiveStore`]), reporting into `metrics`.
-    pub fn with_config(regions: usize, metrics: ServeTelemetry) -> Self {
         ServePublisher {
-            swap: EpochSwap::new(LiveStore::new(regions)),
-            regions,
+            swap: EpochSwap::new(LiveStore::new()),
             prev: Vec::new(),
             metrics,
         }
@@ -75,14 +67,11 @@ impl ServePublisher {
         self.swap.clone()
     }
 
-    /// Publish one store outside the pipeline — the serve-from-checkpoint
-    /// path, where there is no stream and the hook never fires. Same metric
-    /// accounting as a hook-driven publication. Returns the new epoch.
+    /// Publish `engine`'s map stamped `ts` and return the new epoch. The
+    /// hook calls this at every bucket close; the serve-from-checkpoint
+    /// path, where there is no stream and the hook never fires, calls it
+    /// once.
     pub fn publish_now(&mut self, engine: &IpdEngine, ts: u64) -> u64 {
-        self.publish(engine, ts)
-    }
-
-    fn publish(&mut self, engine: &IpdEngine, ts: u64) -> u64 {
         let _timer = self.metrics.publish_duration.start_timer();
         let rows = engine.served_rows();
         let delta = StoreDelta::between_rows(&self.prev, &rows);
@@ -92,7 +81,7 @@ impl ServePublisher {
         let epoch = if garbage >= REBUILD_MIN_GARBAGE && garbage > store.len() {
             // Compaction rebuild: rotate in a fresh store built from the
             // same rows; epoch numbering continues so readers stay monotonic.
-            let fresh = LiveStore::with_base_epoch(self.regions, store.epoch());
+            let fresh = LiveStore::with_base_epoch(store.epoch());
             let epoch = fresh.publish_full(&rows, ts);
             self.metrics.rebuilds.inc();
             self.metrics.flight.record(
@@ -161,7 +150,7 @@ impl PipelineHook for ServePublisher {
     fn bucket_crossed(&mut self, engine: &IpdEngine, clock: BucketClock) {
         let t = engine.params().t_secs;
         let ts = clock.current_bucket.map_or(0, |b| b * t);
-        self.publish(engine, ts);
+        self.publish_now(engine, ts);
     }
 
     /// End of stream, after the final tick: publish the terminal map so the
@@ -169,7 +158,7 @@ impl PipelineHook for ServePublisher {
     fn closed(&mut self, engine: &IpdEngine, clock: BucketClock) {
         let t = engine.params().t_secs;
         let ts = clock.current_bucket.map_or(0, |b| (b + 1) * t);
-        self.publish(engine, ts);
+        self.publish_now(engine, ts);
     }
 }
 
@@ -262,32 +251,6 @@ mod tests {
                     .map(|a| (a.prefix, a.ingress.clone())),
                 table.lookup(addr).map(|(p, ing)| (p, ing.clone())),
             );
-        }
-    }
-
-    #[test]
-    fn sharded_publisher_matches_single_region() {
-        let mut plain = ServePublisher::new();
-        let mut sharded = ServePublisher::with_config(8, ServeTelemetry::default());
-        for hook in [&mut plain, &mut sharded] {
-            let mut engine = ipd::IpdEngine::new(test_params()).unwrap();
-            run_offline(
-                &mut engine,
-                BucketDriver::new(1),
-                two_half_flows(4),
-                hook,
-                |_| {},
-            );
-        }
-        let a = plain.swap.load();
-        let b = sharded.swap.load();
-        assert_eq!(a.value.epoch(), b.value.epoch());
-        assert_eq!(a.value.len(), b.value.len());
-        let (ra, rb) = (a.value.rows(), b.value.rows());
-        assert_eq!(ra.len(), rb.len());
-        for ((pa, ia, ca), (pb, ib, cb)) in ra.iter().zip(rb.iter()) {
-            assert_eq!((pa, ia), (pb, ib));
-            assert_eq!(ca.to_bits(), cb.to_bits());
         }
     }
 

@@ -4,19 +4,15 @@
 //! traffic for IP x enter the ISP?"* — this crate answers that question
 //! **while the pipeline runs**, against the freshest closed bucket:
 //!
-//! * [`LiveStore`] — the served ingress map: regioned concurrent
-//!   tree-bitmap tries ([`ipd_lpm::ConcurrentLpm`]) updated **in place**
-//!   per publication; lookups are wait-free on the steady state and
-//!   seqlock-validated against in-flight updates.
-//! * [`IngressStore`] — an immutable, cache-friendly ingress map: a
-//!   flattened LPM table ([`ipd_lpm::FlatLpm`]) over one snapshot's
-//!   classified ranges, built from a live snapshot, an engine, or a
-//!   checkpoint on disk (no journal replay needed). Still the shape used
-//!   for historical reconstruction and benches.
-//! * [`EpochSwap`] / [`Reader`] — atomic epoch-swapped publication, now
-//!   used only for compaction *rotations* of the [`LiveStore`]; readers
-//!   pay one atomic load per lookup on the steady state and never take a
-//!   lock on the lookup path.
+//! * [`LiveStore`] — the one served ingress map: a concurrent tree-bitmap
+//!   trie ([`ipd_lpm::ConcurrentLpm`]) updated **in place** per
+//!   publication; lookups are wait-free on the steady state and
+//!   seqlock-validated against in-flight updates. History answers come
+//!   from the same type, rebuilt at the requested epoch by `ipd-hist`.
+//! * [`EpochSwap`] / [`Reader`] — atomic epoch-swapped publication, used
+//!   only for compaction *rotations* of the [`LiveStore`]; readers pay one
+//!   atomic load per lookup on the steady state and never take a lock on
+//!   the lookup path.
 //! * [`ServePublisher`] — the [`ipd::pipeline::PipelineHook`] that rides
 //!   the engine thread and applies each bucket's [`ipd::StoreDelta`] to
 //!   the live store at every bucket close (and once more after the final
@@ -24,6 +20,8 @@
 //! * [`ServeServer`] / [`ServeClient`] — a threaded TCP front-end speaking
 //!   a length-prefixed binary protocol ([`proto`]) with single, batched,
 //!   and metadata queries; wired into `ipd-tool serve` / `ipd-tool query`.
+//!   Open connections are capped; a connection beyond the cap is closed
+//!   unanswered and counted.
 //! * [`ServeTelemetry`] — `ipd_serve_*` metrics: lookup counters, per-
 //!   lookup latency on sub-microsecond buckets, and the epoch gauge a
 //!   scrape watches to see publication advance.
@@ -46,9 +44,9 @@
 //! stale**: the epoch a lookup is answered from is never older than the
 //! global epoch at the moment the reader checked. At a quiescent boundary,
 //! lookups are bit-identical to querying `snapshot.lpm_table()` — the
-//! differential suite pins this for the plain and sharded engines, and the
-//! `ipd-lpm` interleaving harness proves the no-torn-reads claim over
-//! thousands of distinct schedules (DESIGN.md §14).
+//! differential suite pins this at every epoch, and the `ipd-lpm`
+//! interleaving harness proves the no-torn-reads claim over thousands of
+//! distinct schedules (DESIGN.md §14).
 
 mod client;
 mod history;
@@ -56,7 +54,6 @@ mod hook;
 mod live;
 pub mod proto;
 mod server;
-mod store;
 mod swap;
 mod telemetry;
 
@@ -65,8 +62,7 @@ pub use client::{
 };
 pub use history::HistoryProvider;
 pub use hook::ServePublisher;
-pub use live::LiveStore;
+pub use live::{IngressAnswer, LiveStore};
 pub use server::ServeServer;
-pub use store::{IngressAnswer, IngressStore};
 pub use swap::{EpochSwap, Reader, Versioned};
 pub use telemetry::ServeTelemetry;

@@ -60,7 +60,7 @@
 use ipd_lpm::{Addr, Af, Prefix};
 use ipd_telemetry::{decode_events, encode_events, FlightCodecError, FlightEvent};
 
-use crate::store::IngressAnswer;
+use crate::live::IngressAnswer;
 use ipd::{LogicalIngress, PrefixChange};
 
 /// Protocol version byte every payload opens with. Version 2 extended the

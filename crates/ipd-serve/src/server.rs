@@ -2,8 +2,11 @@
 //! a blocking accept loop on a background thread, stopped by a flag plus a
 //! self-connection wake. Unlike the one-shot metrics endpoint, query
 //! connections are long-lived, so each gets its own handler thread with its
-//! own [`Reader`] — the lookup hot path touches one atomic and the
-//! immutable store, nothing else shared.
+//! own [`Reader`] — the lookup hot path touches one atomic and the store,
+//! nothing else shared. At most [`ServeServer::MAX_CONNECTIONS`] handler
+//! threads run at once: a connection accepted beyond that is closed
+//! unanswered and counted, so a storm of connections cannot grow the
+//! thread count.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -39,6 +42,12 @@ pub struct ServeServer {
 }
 
 impl ServeServer {
+    /// Open connections served at once, one handler thread each. A
+    /// connection accepted while this many are open is closed before its
+    /// first request is read and counted in
+    /// `ipd_serve_connections_rejected_total`.
+    pub const MAX_CONNECTIONS: usize = 256;
+
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and answer
     /// queries against whatever `swap` currently publishes. The longitudinal
     /// ops answer "unknown" — use [`ServeServer::serve_with_history`] to
@@ -74,6 +83,13 @@ impl ServeServer {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
+                        let mut conns = conns.lock().expect("conns poisoned");
+                        reap_finished(&mut conns);
+                        if conns.len() >= Self::MAX_CONNECTIONS {
+                            // Dropping the stream closes it unanswered.
+                            metrics.connections_rejected.inc();
+                            continue;
+                        }
                         metrics.connections.inc();
                         let reader = swap.reader();
                         let stop = Arc::clone(&stop);
@@ -85,8 +101,6 @@ impl ServeServer {
                                 let _ = handle_conn(stream, reader, history, &metrics, &stop);
                             });
                         if let Ok(handle) = handle {
-                            let mut conns = conns.lock().expect("conns poisoned");
-                            reap_finished(&mut conns);
                             conns.push(handle);
                         }
                     }
@@ -349,8 +363,7 @@ mod tests {
     use super::*;
     use crate::client::ServeClient;
     use crate::proto::AnswerKind;
-    use crate::store::IngressStore;
-    use ipd::{IpdEngine, IpdParams, StoreDelta};
+    use ipd::{IpdEngine, IpdParams, ServedRow, StoreDelta};
     use ipd_lpm::Addr;
     use ipd_telemetry::Telemetry;
     use ipd_topology::IngressPoint;
@@ -377,7 +390,7 @@ mod tests {
 
     /// A live store holding `classified_engine`'s rows at epoch 1.
     fn classified_live() -> LiveStore {
-        let store = LiveStore::new(1);
+        let store = LiveStore::new();
         store.publish_full(&classified_engine().served_rows(), 61);
         store
     }
@@ -446,19 +459,22 @@ mod tests {
         server.shutdown();
     }
 
-    /// A fixed two-epoch history: epoch 7 = the classified store, epoch 8 =
+    /// A fixed two-epoch history: epoch 7 = the classified rows, epoch 8 =
     /// empty; diff(7, 8) reports every range as disappeared.
     struct FixedHistory {
-        store: IngressStore,
+        rows: Vec<ServedRow>,
     }
 
     impl HistoryProvider for FixedHistory {
-        fn at_epoch(&self, epoch: u64) -> Option<IngressStore> {
-            match epoch {
-                7 => Some(self.store.clone()),
-                8 => Some(IngressStore::empty()),
-                _ => None,
-            }
+        fn at_epoch(&self, epoch: u64) -> Option<LiveStore> {
+            let rows: &[ServedRow] = match epoch {
+                7 => &self.rows,
+                8 => &[],
+                _ => return None,
+            };
+            let store = LiveStore::with_base_epoch(epoch - 1);
+            store.publish_full(rows, 61);
+            Some(store)
         }
 
         fn diff(&self, from: u64, to: u64) -> Option<Vec<ipd::PrefixChange>> {
@@ -466,10 +482,10 @@ mod tests {
                 return None;
             }
             Some(
-                self.store
+                self.rows
                     .iter()
                     .map(|(p, ing, _)| ipd::PrefixChange {
-                        prefix: p,
+                        prefix: *p,
                         before: Some(ing.clone()),
                         after: None,
                     })
@@ -480,10 +496,10 @@ mod tests {
 
     #[test]
     fn serves_time_travel_ops_from_a_history_provider() {
-        let store = IngressStore::from_engine(&classified_engine(), 61);
-        let held = store.len();
-        let swap = EpochSwap::new(LiveStore::new(1));
-        let history: Arc<dyn HistoryProvider> = Arc::new(FixedHistory { store });
+        let rows = classified_engine().served_rows();
+        let held = rows.len();
+        let swap = EpochSwap::new(LiveStore::new());
+        let history: Arc<dyn HistoryProvider> = Arc::new(FixedHistory { rows });
         let server = ServeServer::serve_with_history(
             "127.0.0.1:0",
             swap,
@@ -531,7 +547,7 @@ mod tests {
 
     #[test]
     fn wait_epoch_parks_until_publication() {
-        let swap = EpochSwap::new(LiveStore::new(1));
+        let swap = EpochSwap::new(LiveStore::new());
         let server = ServeServer::serve("127.0.0.1:0", swap.clone(), ServeTelemetry::default())
             .expect("bind");
         let mut client = ServeClient::connect(server.local_addr()).expect("connect");
@@ -550,7 +566,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(300));
                 swap.load().value.publish_full(&rows, 61); // in-place: epoch 1
                 std::thread::sleep(Duration::from_millis(300));
-                let fresh = LiveStore::with_base_epoch(1, swap.load().value.epoch());
+                let fresh = LiveStore::with_base_epoch(swap.load().value.epoch());
                 fresh.publish_full(&rows, 61); // rotation: epoch 2
                 swap.publish(fresh);
             })
@@ -606,7 +622,7 @@ mod tests {
     fn malformed_frame_closes_connection_and_counts() {
         let telemetry = Telemetry::new();
         let metrics = ServeTelemetry::register(&telemetry);
-        let swap = EpochSwap::new(LiveStore::new(1));
+        let swap = EpochSwap::new(LiveStore::new());
         let server = ServeServer::serve("127.0.0.1:0", swap, metrics).expect("bind");
 
         let mut s = TcpStream::connect(server.local_addr()).unwrap();
@@ -625,7 +641,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_with_idle_connection_open() {
-        let swap = EpochSwap::new(LiveStore::new(1));
+        let swap = EpochSwap::new(LiveStore::new());
         let server =
             ServeServer::serve("127.0.0.1:0", swap, ServeTelemetry::default()).expect("bind");
         // An idle client holding its connection open must not wedge shutdown.

@@ -15,10 +15,12 @@
 //!   nothing shared. Only on an epoch transition does the reader take the
 //!   slot mutex for one `Arc::clone`.
 //!
-//! Values are immutable once published and reference-counted, so a torn
-//! read is impossible by construction: a reader either holds the old store
-//! or the new one, never a mix, and an in-flight lookup keeps its store
-//! alive for exactly as long as the lookup borrows it. Staleness is bounded
+//! The swap hands out only shared references to reference-counted values,
+//! so a reader either holds the old value or the new one, never a mix, and
+//! an in-flight lookup keeps its value alive for exactly as long as the
+//! lookup borrows it. A value with interior mutability — the served
+//! `LiveStore`, updated in place between rotations — brings its own
+//! no-torn-read guarantee (`ConcurrentLpm`'s seqlock). Staleness is bounded
 //! by one access: the epoch a reader serves from is at least the global
 //! epoch at the moment `current` loaded the counter.
 //!

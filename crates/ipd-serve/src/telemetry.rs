@@ -20,8 +20,8 @@ pub struct ServeTelemetry {
     pub store_entries: Gauge,
     /// `ipd_serve_store_bytes` — approximate heap bytes of the current store.
     pub store_bytes: Gauge,
-    /// `ipd_serve_publish_nanoseconds` — snapshot + store build + swap wall
-    /// time per publication.
+    /// `ipd_serve_publish_nanoseconds` — row read + delta merge + store
+    /// apply wall time per publication.
     pub publish_duration: Histogram,
     /// `ipd_serve_changed_prefixes_total` — rows upserted or removed by
     /// incremental publications; per-bucket publish cost tracks this, not
@@ -30,8 +30,12 @@ pub struct ServeTelemetry {
     /// `ipd_serve_store_rebuilds_total` — compaction rebuilds (full store
     /// rotations triggered by arena garbage crossing the threshold).
     pub rebuilds: Counter,
-    /// `ipd_serve_connections_total` — query connections accepted.
+    /// `ipd_serve_connections_total` — query connections accepted and
+    /// served.
     pub connections: Counter,
+    /// `ipd_serve_connections_rejected_total` — connections closed
+    /// unanswered because the server already held its connection cap.
+    pub connections_rejected: Counter,
     /// `ipd_serve_requests_total` — request frames decoded.
     pub requests: Counter,
     /// `ipd_serve_lookups_total` — individual address lookups answered
@@ -96,8 +100,14 @@ impl ServeTelemetry {
                 "ipd_serve_store_rebuilds_total",
                 "Compaction rebuilds of the live store",
             ),
-            connections: telemetry
-                .counter("ipd_serve_connections_total", "Query connections accepted"),
+            connections: telemetry.counter(
+                "ipd_serve_connections_total",
+                "Query connections accepted and served",
+            ),
+            connections_rejected: telemetry.counter(
+                "ipd_serve_connections_rejected_total",
+                "Query connections closed unanswered at the connection cap",
+            ),
             requests: telemetry.counter("ipd_serve_requests_total", "Request frames decoded"),
             lookups: telemetry.counter(
                 "ipd_serve_lookups_total",

@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use ipd::pipeline::{run_offline, BucketClock, BucketDriver, PipelineHook};
 use ipd::{IpdEngine, IpdParams, LogicalIngress, Snapshot};
-use ipd_lpm::{Addr, Prefix};
+use ipd_lpm::{Addr, LpmTrie, Prefix};
 use ipd_netflow::FlowRecord;
-use ipd_serve::{EpochSwap, IngressStore, LiveStore, ServePublisher};
+use ipd_serve::{EpochSwap, LiveStore, ServePublisher};
 use ipd_traffic::{FlowSim, SimConfig, World, WorldConfig};
 
 /// A trace with enough concentration to classify ranges at several ingress
@@ -183,7 +183,8 @@ fn assert_epochs_identical(epochs: &[EpochCapture]) {
         }
         // Lookup-level identity: the materialised rows answer every probe
         // like the snapshot's own trie.
-        let store = IngressStore::from_rows(cap.ts, cap.rows.iter().cloned());
+        let store = LiveStore::new();
+        store.publish_full(&cap.rows, cap.ts);
         let table = cap.snapshot.lpm_table();
         assert_eq!(store.len(), table.len());
         for addr in probes(&cap.snapshot) {
@@ -385,8 +386,8 @@ fn queries_during_publication_observe_only_published_states() {
         "the trace must classify something"
     );
 
-    let tables: Vec<IngressStore> = std::iter::once(IngressStore::empty())
-        .chain(pre.snapshots.iter().map(IngressStore::from_snapshot))
+    let tables: Vec<LpmTrie<LogicalIngress>> = std::iter::once(LpmTrie::new())
+        .chain(pre.snapshots.iter().map(Snapshot::lpm_table))
         .collect();
     let maps: Vec<HashMap<Prefix, RowKey>> = std::iter::once(HashMap::new())
         .chain(pre.snapshots.iter().map(|s| {
@@ -411,15 +412,19 @@ fn queries_during_publication_observe_only_published_states() {
         x = x.wrapping_mul(0x6C07_8965).wrapping_add(1);
         probe_set.push(Addr::v4(x));
     }
-    // Expected answer per (epoch, probe), as bit-exact rows.
+    // Expected answer per (epoch, probe), as bit-exact rows: the range and
+    // ingress from the epoch's table, the confidence bits from its rows.
     let expected: Vec<Vec<Option<(Prefix, LogicalIngress, u64)>>> = tables
         .iter()
-        .map(|t| {
+        .zip(&maps)
+        .map(|(t, m)| {
             probe_set
                 .iter()
                 .map(|&a| {
-                    t.lookup(a)
-                        .map(|ans| (ans.prefix, ans.ingress.clone(), ans.confidence.to_bits()))
+                    t.lookup(a).map(|(p, ing)| {
+                        assert_eq!(&m[&p].0, ing, "table and rows disagree on {p}");
+                        (p, ing.clone(), m[&p].1)
+                    })
                 })
                 .collect()
         })

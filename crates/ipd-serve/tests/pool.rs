@@ -30,7 +30,7 @@ fn classified_store() -> LiveStore {
     }
     e.tick(60);
     e.tick(61);
-    let store = LiveStore::new(1);
+    let store = LiveStore::new();
     store.publish_full(&e.served_rows(), 61);
     store
 }

@@ -9,17 +9,20 @@
 //!
 //! The stream is the 100k-tier DFZ world with active route churn, so the
 //! in-place deltas exercise upserts, removes, and flapping reassignments —
-//! not just monotone growth.
+//! not just monotone growth. A longer run of the same stream drives the
+//! publisher through a compaction rotation, and a connection storm checks
+//! that the server's connection cap holds and is counted.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ipd::pipeline::{IpdPipeline, PipelineConfig};
-use ipd::IpdParams;
+use ipd::pipeline::{run_offline, BucketDriver, IpdPipeline, PipelineConfig};
+use ipd::{IpdEngine, IpdParams};
 use ipd_lpm::Addr;
 use ipd_netflow::FlowRecord;
-use ipd_serve::{ServeClient, ServePublisher, ServeServer, ServeTelemetry};
+use ipd_serve::{EpochSwap, LiveStore, ServeClient, ServePublisher, ServeServer, ServeTelemetry};
+use ipd_telemetry::{EventKind, Telemetry};
 use ipd_traffic::{DfzConfig, DfzWorld};
 
 /// The churned 100k-tier stream at a rate the tier-1 suite can afford.
@@ -213,5 +216,137 @@ fn readers_never_see_torn_or_regressing_state_and_finish_terminates() {
         assert_eq!(Some(&ing), rec.ingress.as_ref());
         assert_eq!(conf.to_bits(), rec.confidence.to_bits());
     }
+    server.shutdown();
+}
+
+/// 16 churned minutes leave enough dead arena cells to trigger exactly one
+/// compaction rotation. Across it the published epochs stay gapless, the
+/// terminal store holds the engine's rows bit for bit, and a reader minted
+/// before the rotation moves to the fresh store.
+#[test]
+fn compaction_rotation_keeps_epochs_rows_and_readers() {
+    let (flows, params) = churned_trace(16);
+    let telemetry = Telemetry::new();
+    let mut publisher = ServePublisher::with_metrics(ServeTelemetry::register(&telemetry));
+    let swap = publisher.swap();
+    let mut reader = swap.reader();
+    assert_eq!(
+        reader.current().epoch,
+        0,
+        "the reader starts on the first store"
+    );
+    let mut engine = IpdEngine::new(params).unwrap();
+    run_offline(
+        &mut engine,
+        BucketDriver::new(1),
+        flows,
+        &mut publisher,
+        |_| {},
+    );
+
+    let snap = telemetry.snapshot();
+    assert_eq!(snap.counter("ipd_serve_store_rebuilds_total"), Some(1));
+    assert_eq!(swap.epoch(), 1, "one rotation of the swap");
+    let published: Vec<u64> = telemetry
+        .flight()
+        .dump()
+        .iter()
+        .filter(|e| e.kind == EventKind::EpochPublished as u8)
+        .map(|e| e.a)
+        .collect();
+    let n = published.len() as u64;
+    assert_eq!(
+        published,
+        (1..=n).collect::<Vec<_>>(),
+        "epochs must run 1..=N with no gap or repeat across the rotation"
+    );
+
+    let terminal = swap.load();
+    let want = engine.served_rows();
+    let got = terminal.value.rows();
+    assert!(!want.is_empty(), "the churned tier classified rows");
+    assert_eq!(got.len(), want.len());
+    for ((gp, gi, gc), (wp, wi, wc)) in got.iter().zip(&want) {
+        assert_eq!((gp, gi), (wp, wi));
+        assert_eq!(gc.to_bits(), wc.to_bits(), "confidence bits for {gp}");
+    }
+
+    // The pre-rotation reader now answers from the fresh store.
+    let current = reader.current();
+    assert_eq!(current.epoch, 1);
+    assert!(std::ptr::eq(&current.value, &terminal.value));
+    assert_eq!(current.value.epoch(), n);
+    let table = engine.classified_snapshot(terminal.value.ts()).lpm_table();
+    for (p, _, _) in want.iter().step_by(7) {
+        let probe = p.first_addr();
+        assert_eq!(
+            current
+                .value
+                .lookup(probe)
+                .map(|a| (a.prefix, a.ingress.clone())),
+            table.lookup(probe).map(|(q, ing)| (q, ing.clone())),
+            "probe {probe}"
+        );
+    }
+}
+
+/// A storm of connections cannot grow the server's thread count: with the
+/// cap's worth of connections held open, each further connection fails its
+/// first request and is counted; once one held connection closes, a new
+/// connection is served again.
+#[test]
+fn connection_storm_is_capped_and_counted() {
+    const EXTRA: usize = 4;
+    let cap = ServeServer::MAX_CONNECTIONS;
+    let telemetry = Telemetry::new();
+    let server = ServeServer::serve(
+        "127.0.0.1:0",
+        EpochSwap::new(LiveStore::new()),
+        ServeTelemetry::register(&telemetry),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let probe = Addr::v4(0x0100_0000);
+
+    // Each held connection has answered, so its handler thread is running.
+    let mut held: Vec<ServeClient> = (0..cap)
+        .map(|i| {
+            let mut client = ServeClient::connect(addr).expect("connect");
+            client
+                .lookup(probe)
+                .unwrap_or_else(|e| panic!("held connection {i} not served: {e}"));
+            client
+        })
+        .collect();
+    for i in 0..EXTRA {
+        let mut client = ServeClient::connect(addr).expect("the TCP handshake still completes");
+        assert!(
+            client.lookup(probe).is_err(),
+            "connection {} beyond the cap was served",
+            cap + i
+        );
+    }
+    let snap = telemetry.snapshot();
+    assert_eq!(
+        snap.counter("ipd_serve_connections_rejected_total"),
+        Some(EXTRA as u64)
+    );
+    assert_eq!(
+        snap.counter("ipd_serve_connections_total"),
+        Some(cap as u64)
+    );
+
+    // Free one slot: its handler exits on EOF and the next accept reaps it.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut client = ServeClient::connect(addr).expect("connect");
+        if client.lookup(probe).is_ok() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the freed slot was never reused");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(held);
     server.shutdown();
 }

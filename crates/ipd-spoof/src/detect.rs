@@ -2,9 +2,10 @@
 //!
 //! [`SpoofDetector::decide`] is a *pure* function of the flow identity, the
 //! served map's answer, the BGP expectation oracle, and the flow timestamp
-//! — it keeps no per-flow mutable state. That purity is what makes the
-//! plain-vs-sharded differential hold by construction: two engines that
-//! publish the same epochs produce bit-identical verdict streams.
+//! — it keeps no per-flow mutable state. That purity makes the verdict
+//! stream a function of the published epochs alone: the same epochs give
+//! a bit-identical stream, whether they are read in process or over the
+//! wire.
 //!
 //! The windowed evidence model is realized as a *look-back* into the churn
 //! record rather than per-source counters: a wrong-but-plausible ingress is
@@ -14,6 +15,7 @@
 //! link has no such excuse at any window width — it is spoofed.
 
 use ipd_lpm::Addr;
+use ipd_serve::IngressAnswer;
 use ipd_topology::IngressPoint;
 
 use crate::expect::RouteExpect;
@@ -21,8 +23,8 @@ use crate::telemetry::SpoofTelemetry;
 use crate::verdict::Verdict;
 
 /// The served map's answer for one source, reduced to what the decision
-/// procedure needs. Offline callers derive it from `LiveStore::lookup` +
-/// `LogicalIngress::matches`; live callers from the wire answer.
+/// procedure needs. In-process callers derive it from `LiveStore::lookup`
+/// with [`MapView::of`]; live callers from the wire answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapView {
     /// No classified range covers the source yet.
@@ -32,6 +34,18 @@ pub enum MapView {
     Match,
     /// A range covers the source but the observed point is foreign to it.
     Mismatch,
+}
+
+impl MapView {
+    /// The view of an in-process lookup answer from a flow that arrived at
+    /// `observed`.
+    pub fn of(answer: Option<IngressAnswer<'_>>, observed: IngressPoint) -> MapView {
+        match answer {
+            None => MapView::Unmapped,
+            Some(a) if a.ingress.matches(observed) => MapView::Match,
+            Some(_) => MapView::Mismatch,
+        }
+    }
 }
 
 /// Detector tuning.

@@ -20,12 +20,12 @@
 //! The decision procedure ([`SpoofDetector::decide`]) is a pure function of
 //! the flow, the served map's answer, and closed-form BGP oracles — no
 //! per-flow mutable state. Same trace + same served epochs ⇒ bit-identical
-//! verdict stream ([`VerdictDigest`]), whether the map was built by a plain
-//! or a sharded engine ([`offline`]'s differential test, and the workspace
-//! golden test, pin this).
+//! verdict stream ([`VerdictDigest`]; [`offline`]'s determinism test and the
+//! workspace golden test pin this).
 //!
 //! Start with [`run_offline`] for scenario-driven runs, or assemble
-//! [`RouteExpect`] + [`SpoofDetector`] yourself to judge a live query feed.
+//! [`RouteExpect`] + [`SpoofDetector`] yourself to judge a live query feed,
+//! scoring it with the same [`SpoofScorer`] the offline run uses.
 
 pub mod detect;
 pub mod expect;
@@ -35,7 +35,7 @@ pub mod verdict;
 
 pub use detect::{MapView, SpoofConfig, SpoofDetector};
 pub use expect::{Expectation, RouteExpect};
-pub use offline::{run_offline, SpoofReport, SpoofRunConfig};
+pub use offline::{run_offline, SpoofReport, SpoofRunConfig, SpoofScorer};
 pub use telemetry::SpoofTelemetry;
 pub use verdict::{
     decode_verdict, encode_verdict, Verdict, VerdictCodecError, VerdictDigest, VerdictRecord,

@@ -20,7 +20,7 @@ use ipd::pipeline::{BucketDriver, PipelineOutput};
 use ipd::{IpdEngine, IpdParams};
 use ipd_serve::ServePublisher;
 use ipd_topology::IngressPoint;
-use ipd_traffic::{DfzWorld, FlowLabel, SpoofScenario};
+use ipd_traffic::{DfzWorld, FlowLabel, ScenarioFlow, SpoofScenario};
 
 use crate::detect::{MapView, SpoofConfig, SpoofDetector};
 use crate::expect::RouteExpect;
@@ -144,6 +144,61 @@ impl SpoofReport {
     }
 }
 
+/// Confusion accounting and the verdict digest of one judged stream — the
+/// one scorer behind [`run_offline`] and `ipd-tool spoof`'s server and
+/// checkpoint modes.
+#[derive(Debug, Default)]
+pub struct SpoofScorer {
+    flows: u64,
+    verdicts: [u64; 3],
+    matrix: [[u64; 3]; 3],
+    digest: VerdictDigest,
+}
+
+impl SpoofScorer {
+    /// Decide one labeled flow that arrived at `observed`, given the map's
+    /// view of its source as served at `epoch`, and score the verdict.
+    pub fn judge(
+        &mut self,
+        detector: &SpoofDetector,
+        sf: &ScenarioFlow,
+        observed: IngressPoint,
+        map: MapView,
+        epoch: u64,
+    ) {
+        let verdict = detector.decide(sf.flow.src, observed, sf.flow.ts, map);
+        self.digest.observe(&VerdictRecord {
+            ts: sf.flow.ts,
+            src: sf.flow.src,
+            observed,
+            verdict,
+            label: Some(sf.label),
+            epoch,
+        });
+        self.flows += 1;
+        self.verdicts[verdict.index()] += 1;
+        self.matrix[sf.label.code() as usize][verdict.index()] += 1;
+    }
+
+    /// Verdicts scored so far, indexed by [`Verdict::index`].
+    pub fn verdicts(&self) -> [u64; 3] {
+        self.verdicts
+    }
+
+    /// The report, with `epochs` as the final publication epoch and no
+    /// ticks counted.
+    pub fn finish(self, epochs: u64) -> SpoofReport {
+        SpoofReport {
+            flows: self.flows,
+            ticks: 0,
+            epochs,
+            verdicts: self.verdicts,
+            matrix: self.matrix,
+            digest: self.digest.finish(),
+        }
+    }
+}
+
 /// Run the detector offline over a freshly generated scenario: build the
 /// world, size the engine to the flow rate, and drive it.
 pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofReport {
@@ -155,11 +210,8 @@ pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofRepor
     let mut reader = swap.reader();
     let mut driver = BucketDriver::new(cfg.snapshot_every_ticks);
 
-    let mut flows = 0u64;
     let mut ticks = 0u64;
-    let mut verdicts = [0u64; 3];
-    let mut matrix = [[0u64; 3]; 3];
-    let mut digest = VerdictDigest::new();
+    let mut scorer = SpoofScorer::default();
     let mut summary_epoch = 0u64;
 
     let mut out = |o: PipelineOutput| {
@@ -173,11 +225,7 @@ pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofRepor
         // 2. Judge against the map exactly as served at this instant.
         let store = reader.current();
         let observed = IngressPoint::new(sf.flow.router, sf.flow.input_if);
-        let map = match store.value.lookup(sf.flow.src) {
-            None => MapView::Unmapped,
-            Some(a) if a.ingress.matches(observed) => MapView::Match,
-            Some(_) => MapView::Mismatch,
-        };
+        let map = MapView::of(store.value.lookup(sf.flow.src), observed);
         // How stale the served map was for this very decision, in flow
         // time — the end-to-end freshness the detector actually saw.
         metrics
@@ -187,6 +235,7 @@ pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofRepor
         if epoch != summary_epoch {
             // A fresh epoch took over: leave a cumulative verdict summary
             // in the flight ring (spoofed and shift counts so far).
+            let verdicts = scorer.verdicts();
             metrics.flight.record(
                 ipd_telemetry::EventKind::SpoofSummary,
                 sf.flow.ts,
@@ -196,24 +245,14 @@ pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofRepor
             );
             summary_epoch = epoch;
         }
-        let verdict = detector.decide(sf.flow.src, observed, sf.flow.ts, map);
-        digest.observe(&VerdictRecord {
-            ts: sf.flow.ts,
-            src: sf.flow.src,
-            observed,
-            verdict,
-            label: Some(sf.label),
-            epoch: store.value.epoch(),
-        });
-        flows += 1;
-        verdicts[verdict.index()] += 1;
-        matrix[sf.label.code() as usize][verdict.index()] += 1;
+        scorer.judge(&detector, &sf, observed, map, epoch);
         // 3. Ingest — forged flows included; the engine cannot pre-filter.
         engine.ingest(&sf.flow);
     }
     driver.finish(&mut engine, &mut out, &mut publisher);
     // The terminal summary: final epoch, total spoofed/shift verdicts.
     let last = swap.load();
+    let verdicts = scorer.verdicts();
     metrics.flight.record(
         ipd_telemetry::EventKind::SpoofSummary,
         last.value.ts(),
@@ -223,12 +262,8 @@ pub fn run_offline(cfg: &SpoofRunConfig, metrics: &SpoofTelemetry) -> SpoofRepor
     );
 
     SpoofReport {
-        flows,
         ticks,
-        epochs: swap.load().value.epoch(),
-        verdicts,
-        matrix,
-        digest: digest.finish(),
+        ..scorer.finish(last.value.epoch())
     }
 }
 

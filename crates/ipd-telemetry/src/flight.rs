@@ -56,7 +56,7 @@ pub enum EventKind {
     /// A delta run was folded into a keyframe.
     /// `ts`=wall seconds, `a`=last epoch, `b`=segments before, `c`=segments after.
     Compaction = 5,
-    /// A (sharded) engine finished a tick.
+    /// The engine finished a tick.
     /// `ts`=bucket-close flow time, `a`=newly classified, `b`=live ranges,
     /// `c`=classified ranges.
     ShardTick = 6,

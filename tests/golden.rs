@@ -13,7 +13,7 @@
 use ipd_suite::ipd::pipeline::{run_offline, BucketDriver, NoopHook, PipelineOutput};
 use ipd_suite::ipd::{CountMode, IpdEngine, IpdParams, LogicalIngress, Snapshot};
 use ipd_suite::netflow::FlowRecord;
-use ipd_suite::serve::{ServePublisher, ServeTelemetry};
+use ipd_suite::serve::ServePublisher;
 use ipd_suite::traffic::{FlowSim, SimConfig, World, WorldConfig};
 
 const SEED: u64 = 1337;
@@ -29,11 +29,11 @@ const GOLDEN_CLASSIFICATIONS: u64 = 3_980;
 /// FNV-1a over the concurrent live store's terminal rows after the same
 /// run is published incrementally (delta per bucket) through
 /// `ServePublisher` — the concurrent-store counterpart of
-/// [`GOLDEN_DIGEST`], pinned for both 1 and 8 store regions.
+/// [`GOLDEN_DIGEST`].
 const GOLDEN_STORE_DIGEST: u64 = 0x8fbf_9ec1_038c_7eba;
 
 /// The same run in `CountMode::Bytes`: every sample weighs its flow's byte
-/// count, so the stage-1 sums are large integers. Pinned for K ∈ {1, 8}.
+/// count, so the stage-1 sums are large integers.
 const GOLDEN_BYTES_DIGEST: u64 = 0xaba7_816f_d81a_5b0f;
 const GOLDEN_BYTES_CLASSIFIED: usize = 1_729;
 
@@ -164,53 +164,51 @@ fn store_rows_digest(rows: &[(ipd_suite::lpm::Prefix, LogicalIngress, f64)]) -> 
 
 /// The golden run published *incrementally* through the concurrent store:
 /// one delta per bucket close, terminal rows bit-identical to the terminal
-/// snapshot's classified set, digest pinned and region-count invariant.
+/// snapshot's classified set, digest pinned.
 #[test]
-fn golden_live_store_digest_is_stable_and_region_invariant() {
+fn golden_live_store_digest_is_stable() {
     let flows = golden_flows();
-    for regions in [1usize, 8] {
-        let mut hook = ServePublisher::with_config(regions, ServeTelemetry::default());
-        let swap = hook.swap();
-        let mut engine = IpdEngine::new(golden_params()).unwrap();
-        let mut outputs = Vec::new();
-        run_offline(
-            &mut engine,
-            BucketDriver::new(5),
-            flows.iter().cloned(),
-            &mut hook,
-            |o| outputs.push(o),
-        );
-        let store = swap.load();
-        assert_eq!(
-            store.value.epoch(),
-            GOLDEN_TICKS,
-            "one epoch per closed bucket, including the final flush"
-        );
-        let rows = store.value.rows();
+    let mut hook = ServePublisher::new();
+    let swap = hook.swap();
+    let mut engine = IpdEngine::new(golden_params()).unwrap();
+    let mut outputs = Vec::new();
+    run_offline(
+        &mut engine,
+        BucketDriver::new(5),
+        flows.iter().cloned(),
+        &mut hook,
+        |o| outputs.push(o),
+    );
+    let store = swap.load();
+    assert_eq!(
+        store.value.epoch(),
+        GOLDEN_TICKS,
+        "one epoch per closed bucket, including the final flush"
+    );
+    let rows = store.value.rows();
 
-        // Terminal rows == the terminal snapshot's classified set, bit for
-        // bit — the incremental path converged exactly.
-        let snap = last_snapshot(outputs);
-        let mut want: Vec<_> = snap
-            .classified()
-            .filter_map(|r| {
-                r.ingress
-                    .as_ref()
-                    .map(|ing| (r.range, ing.clone(), r.confidence))
-            })
-            .collect();
-        want.sort_by_key(|&(p, _, _)| p);
-        assert_eq!(rows.len(), want.len(), "regions {regions}: row count");
-        for ((gp, gi, gc), (wp, wi, wc)) in rows.iter().zip(&want) {
-            assert_eq!((gp, gi), (wp, wi), "regions {regions}: row mismatch");
-            assert_eq!(gc.to_bits(), wc.to_bits(), "regions {regions}: confidence");
-        }
-
-        assert_eq!(
-            store_rows_digest(&rows),
-            GOLDEN_STORE_DIGEST,
-            "regions {regions}: live-store digest drifted ({} rows)",
-            rows.len()
-        );
+    // Terminal rows == the terminal snapshot's classified set, bit for
+    // bit — the incremental path converged exactly.
+    let snap = last_snapshot(outputs);
+    let mut want: Vec<_> = snap
+        .classified()
+        .filter_map(|r| {
+            r.ingress
+                .as_ref()
+                .map(|ing| (r.range, ing.clone(), r.confidence))
+        })
+        .collect();
+    want.sort_by_key(|&(p, _, _)| p);
+    assert_eq!(rows.len(), want.len(), "row count");
+    for ((gp, gi, gc), (wp, wi, wc)) in rows.iter().zip(&want) {
+        assert_eq!((gp, gi), (wp, wi), "row mismatch");
+        assert_eq!(gc.to_bits(), wc.to_bits(), "confidence");
     }
+
+    assert_eq!(
+        store_rows_digest(&rows),
+        GOLDEN_STORE_DIGEST,
+        "live-store digest drifted ({} rows)",
+        rows.len()
+    );
 }
