@@ -791,9 +791,7 @@ impl AsLinks {
 
 /// The current best route of a prefix: which link (and so which router and
 /// interface) traffic from it enters on, given the churn state at `t`.
-///
-/// `home + flap_count` walks the AS's link slice round-robin, so a flap
-/// always moves the prefix to the *next* candidate link.
+/// See [`current_link_among`] for the rule.
 pub fn current_link(
     plan: &PrefixPlan,
     model: &ChurnModel,
@@ -802,8 +800,22 @@ pub fn current_link(
     rank: u64,
     t: u64,
 ) -> LinkId {
-    let as_rank = plan.as_rank_of(af, rank);
-    let candidates = as_links.links_of(as_rank);
+    let candidates = as_links.links_of(plan.as_rank_of(af, rank));
+    current_link_among(model, candidates, af, rank, t)
+}
+
+/// [`current_link`] for a caller that already holds the candidate links of
+/// the prefix's origin AS (`as_links.links_of(plan.as_rank_of(af, rank))`).
+///
+/// `home + flap_count` walks the AS's link slice round-robin, so a flap
+/// always moves the prefix to the *next* candidate link.
+pub fn current_link_among(
+    model: &ChurnModel,
+    candidates: &[LinkId],
+    af: Af,
+    rank: u64,
+    t: u64,
+) -> LinkId {
     let n = candidates.len() as u64;
     let home = hrank(model.config().seed, S_HOME_LINK, af, rank) % n;
     let slot = (home + model.flap_count(af, rank, t)) % n;

@@ -135,6 +135,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Repeated wire `QueryAt`s at one epoch answer alike and reconstruct
+    /// that epoch once: the server's reader clone shares the store slot.
+    #[test]
+    fn wire_queries_at_one_epoch_rebuild_it_once() {
+        use ipd_serve::{EpochSwap, HistoryProvider, LiveStore, ServeClient, ServeServer};
+        use std::sync::Arc;
+
+        let dir = std::env::temp_dir().join(format!("ipd-hist-hook-wire-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let metrics = crate::HistTelemetry::register(&ipd_telemetry::Telemetry::new());
+        let reconstructions = metrics.reconstruct_reads.clone();
+        // Epoch 4 comes from segments, not the memtable; no background
+        // compaction, which reconstructs epochs of its own.
+        let cfg = crate::HistConfig {
+            memtable_epochs: 1,
+            background_compaction: false,
+            ..crate::HistConfig::default()
+        };
+        let mut hook = HistPublisher::new(HistStore::open_with(&dir, cfg, metrics).unwrap());
+        let mut engine = ipd::IpdEngine::new(test_params()).unwrap();
+        run_offline(
+            &mut engine,
+            BucketDriver::new(1),
+            two_half_flows(6),
+            &mut hook,
+            |_| {},
+        );
+        let history = Arc::new(hook.store().reader()) as Arc<dyn HistoryProvider>;
+        let server = ServeServer::serve_with_history(
+            "127.0.0.1:0",
+            EpochSwap::new(LiveStore::new()),
+            ipd_serve::ServeTelemetry::default(),
+            Some(history),
+        )
+        .expect("bind");
+        let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+        let before = reconstructions.count();
+        let probe = Addr::v4(0x8000_1000);
+        let first = client.query_at(4, probe).unwrap().expect("epoch 4 held");
+        assert!(first.is_mapped());
+        for _ in 0..50 {
+            assert_eq!(client.query_at(4, probe).unwrap(), Some(first));
+        }
+        assert_eq!(reconstructions.count() - before, 1);
+        server.shutdown();
+        drop(hook);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn empty_stream_records_epoch_one() {
         let dir = std::env::temp_dir().join(format!("ipd-hist-hook-empty-{}", std::process::id()));

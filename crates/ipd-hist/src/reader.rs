@@ -71,9 +71,24 @@ impl HistReader {
     }
 
     /// The servable [`LiveStore`] at `epoch`, stamped with that epoch —
-    /// bit-identical to the one published live at that epoch.
-    pub fn store_at(&self, epoch: u64) -> Result<Option<LiveStore>, HistError> {
-        Ok(self.image_at(epoch)?.map(|img| img.to_store()))
+    /// bit-identical to the one published live at that epoch. The last
+    /// store built is kept in one slot that every clone of this reader
+    /// shares, so repeated queries at one epoch rebuild it once; a held
+    /// epoch's rows never change, so the slot cannot go stale.
+    pub fn store_at(&self, epoch: u64) -> Result<Option<Arc<LiveStore>>, HistError> {
+        let slot = &self.inner.last_store;
+        if let Some(hit) = slot.lock().expect("store slot poisoned").as_ref() {
+            if hit.epoch() == epoch {
+                return Ok(Some(Arc::clone(hit)));
+            }
+        }
+        // Built outside the state lock: appends on the engine thread take it.
+        let Some(image) = self.image_at(epoch)? else {
+            return Ok(None);
+        };
+        let store = Arc::new(image.to_store());
+        *slot.lock().expect("store slot poisoned") = Some(Arc::clone(&store));
+        Ok(Some(store))
     }
 
     /// The greatest held epoch whose data timestamp is ≤ `ts`, if any —
@@ -248,7 +263,7 @@ impl HistReader {
 /// The serve-side seam: errors degrade to "not held" — a corrupt segment
 /// store must not take the live query plane down with it.
 impl HistoryProvider for HistReader {
-    fn at_epoch(&self, epoch: u64) -> Option<LiveStore> {
+    fn at_epoch(&self, epoch: u64) -> Option<Arc<LiveStore>> {
         self.store_at(epoch).ok().flatten()
     }
 

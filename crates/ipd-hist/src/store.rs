@@ -34,6 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use ipd_serve::LiveStore;
 use ipd_state::CodecError;
 
 use crate::codec::{
@@ -134,6 +135,9 @@ pub(crate) struct Inner {
     pub(crate) cfg: HistConfig,
     pub(crate) metrics: HistTelemetry,
     pub(crate) state: Mutex<State>,
+    /// The last servable store a reader built (see
+    /// [`crate::HistReader::store_at`]); its own lock, not the state's.
+    pub(crate) last_store: Mutex<Option<Arc<LiveStore>>>,
     work: Condvar,
     stop: AtomicBool,
 }
@@ -383,6 +387,7 @@ impl HistStore {
                 last_image: None,
                 compact_error: None,
             }),
+            last_store: Mutex::new(None),
             work: Condvar::new(),
             stop: AtomicBool::new(false),
         });

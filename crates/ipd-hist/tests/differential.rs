@@ -344,10 +344,8 @@ fn serve_integration_answers_history_over_the_wire() {
 
     let target = 3u64;
     let local = reader.store_at(target).unwrap().expect("epoch 3 held");
-    // Every wire query reconstructs the epoch server-side (the provider is
-    // deliberately cache-free), so keep the round-trip count modest.
     let mut x = 0x9E37_79B9u32;
-    for _ in 0..200 {
+    for _ in 0..2_000 {
         x = x.wrapping_mul(0x6C07_8965).wrapping_add(1);
         let probe = Addr::v4(x);
         let wire = client

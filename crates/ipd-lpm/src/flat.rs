@@ -1,71 +1,79 @@
 //! A flattened, read-only longest-prefix-match table.
 //!
 //! [`LpmTrie`] is the mutable build-side structure; [`FlatLpm`] is its
-//! immutable read-side twin: every node lives in one contiguous `Vec`
-//! (`u32` child indices instead of boxed pointers), and lookups on large
-//! tables start from a level-compressed 16-bit stride table that skips the
-//! top half of the walk in a single indexed load. The result is
-//! cache-friendly, trivially shareable across threads (`&FlatLpm` is all a
-//! reader needs), and bit-identical to [`LpmTrie::lookup`] for every
-//! address — the property `tests/prop.rs` and the `lpm` fuzz target pin.
-//! The spoof detector's route expectation (`ipd-spoof`) is built on it.
+//! immutable read-side twin: a leaf-pushed multibit table of 256-slot `u32`
+//! tables in one contiguous `Vec`, one table per 8 address bits. Every slot
+//! already holds the final answer for every address under it (the build
+//! pushes each prefix's answer down into the slots it covers), or the index
+//! of the next table when longer prefixes continue below it. A lookup reads
+//! one table per address byte and stops at the first answer, with no
+//! "best so far" to track and no backtracking: at most 3 table loads for
+//! IPv4 when no stored prefix is longer than /24 (4 otherwise), and at most
+//! 6 for IPv6 prefixes up to /48. The table is trivially shareable across
+//! threads (`&FlatLpm` is all a reader needs) and bit-identical to
+//! [`LpmTrie::lookup`] for every address — the property `tests/prop.rs` and
+//! the `lpm_ops` fuzz target pin. The spoof detector's route expectation
+//! (`ipd-spoof`) is built on it.
 
 use crate::addr::{Addr, Af};
 use crate::prefix::Prefix;
 use crate::trie::LpmTrie;
 
-/// Sentinel for "no node / no value".
+/// Tag bit of a slot. Set: the low 31 bits index the next table. Clear:
+/// they index `entries`, or are [`MISS`].
+const TABLE: u32 = 1 << 31;
+
+/// An untagged slot that no stored prefix covers. Entry and table indices
+/// stay below it (checked at build), so it is never a valid index.
+const MISS: u32 = TABLE - 1;
+
+/// Slots per table: one per value of an 8-bit address chunk.
+const SLOTS: usize = 256;
+
+/// Table index of the IPv4 root (tables[0]) and the IPv6 root (tables[1]);
+/// the build's scratch trie numbers its two root nodes the same way.
+const V4_ROOT: usize = 0;
+const V6_ROOT: usize = 1;
+
+fn root(af: Af) -> usize {
+    match af {
+        Af::V4 => V4_ROOT,
+        Af::V6 => V6_ROOT,
+    }
+}
+
+/// "No child" in the build's scratch binary trie.
 const NONE: u32 = u32::MAX;
 
-/// Number of leading address bits resolved by the stride tables.
-const STRIDE_BITS: u8 = 16;
-
-/// Entry count at which building a family's stride table pays for itself.
-/// Below this the table (2 × 65 536 × 8 B) costs more to fill than the
-/// plain walk it saves; lookups are identical either way.
-const STRIDE_MIN_ENTRIES: usize = 2_048;
-
+/// A node of the scratch binary trie the build fills the tables from.
 #[derive(Debug, Clone, Copy)]
-struct FlatNode {
+struct Node {
     /// Left (bit 0) and right (bit 1) child node indices, or [`NONE`].
     child: [u32; 2],
-    /// Index into `entries`, or [`NONE`] for a pass-through node.
+    /// Index into `entries`, or [`MISS`] for a pass-through node.
     value: u32,
 }
 
-impl FlatNode {
-    const EMPTY: FlatNode = FlatNode {
+impl Node {
+    const EMPTY: Node = Node {
         child: [NONE, NONE],
-        value: NONE,
+        value: MISS,
     };
 }
 
-/// One precomputed top-`STRIDE_BITS` path: the node the walk reaches at
-/// depth [`STRIDE_BITS`] (or [`NONE`] if the path leaves the trie earlier)
-/// and the best value index seen on the way down, the node at depth
-/// [`STRIDE_BITS`] included.
-#[derive(Debug, Clone, Copy)]
-struct StrideSlot {
-    node: u32,
-    best: u32,
-}
-
-/// An immutable, flattened LPM table. Build once (from an [`LpmTrie`] or an
-/// iterator of `(Prefix, V)` pairs), look up forever; there is no mutation
-/// API by design.
+/// An immutable, leaf-pushed LPM table. Build once (from an [`LpmTrie`] or
+/// an iterator of `(Prefix, V)` pairs), look up forever; there is no
+/// mutation API by design.
+///
+/// Memory: the two 1 KiB root tables, plus at most ⌊(L−1)/8⌋ tables of
+/// 1 KiB for each stored prefix of length L (prefixes that share their
+/// leading bytes share tables), plus one `(Prefix, V)` entry per prefix.
 #[derive(Debug, Clone)]
 pub struct FlatLpm<V> {
-    nodes: Vec<FlatNode>,
+    /// 256-slot tables back to back; table `t` is `tables[t * 256..][..256]`.
+    tables: Vec<u32>,
     entries: Vec<(Prefix, V)>,
-    /// Stride tables per family; empty when the family is below
-    /// [`STRIDE_MIN_ENTRIES`] (the walk then starts at the root).
-    v4_stride: Vec<StrideSlot>,
-    v6_stride: Vec<StrideSlot>,
 }
-
-/// Node index of the IPv4 root (nodes[0]) and IPv6 root (nodes[1]).
-const V4_ROOT: u32 = 0;
-const V6_ROOT: u32 = 1;
 
 impl<V> Default for FlatLpm<V> {
     fn default() -> Self {
@@ -73,14 +81,53 @@ impl<V> Default for FlatLpm<V> {
     }
 }
 
+/// `i` as a `u32` index. Entry and table indices are slot payloads, so
+/// they must stay below the tag bit and apart from [`MISS`]; the build's
+/// node indices share the bound.
+///
+/// # Panics
+/// Panics if `i` reaches [`MISS`].
+fn index(i: usize, what: &str) -> u32 {
+    assert!(i < MISS as usize, "FlatLpm holds at most {MISS} {what}");
+    i as u32
+}
+
+/// Fill `span` slots from `start` under binary node `node`, which sits at
+/// the bit depth those slots begin at. `best` is the longest match above
+/// `node`. A span of one slot whose node has children gets a new table,
+/// filled from the same node.
+fn fill(nodes: &[Node], tables: &mut Vec<u32>, start: usize, span: usize, node: u32, best: u32) {
+    let n = nodes[node as usize];
+    let best = if n.value == MISS { best } else { n.value };
+    if span == 1 {
+        tables[start] = if n.child == [NONE, NONE] {
+            best
+        } else {
+            let table = tables.len() / SLOTS;
+            let tag = TABLE | index(table, "tables");
+            tables.resize(tables.len() + SLOTS, MISS);
+            fill(nodes, tables, table * SLOTS, SLOTS, node, best);
+            tag
+        };
+        return;
+    }
+    let half = span / 2;
+    for (side, &child) in n.child.iter().enumerate() {
+        let lo = start + side * half;
+        if child == NONE {
+            tables[lo..lo + half].fill(best);
+        } else {
+            fill(nodes, tables, lo, half, child, best);
+        }
+    }
+}
+
 impl<V> FlatLpm<V> {
     /// An empty table (every lookup misses).
     pub fn new() -> Self {
         FlatLpm {
-            nodes: vec![FlatNode::EMPTY, FlatNode::EMPTY],
+            tables: vec![MISS; 2 * SLOTS],
             entries: Vec::new(),
-            v4_stride: Vec::new(),
-            v6_stride: Vec::new(),
         }
     }
 
@@ -92,78 +139,6 @@ impl<V> FlatLpm<V> {
     /// Whether the table holds no prefixes.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    fn root(af: Af) -> u32 {
-        match af {
-            Af::V4 => V4_ROOT,
-            Af::V6 => V6_ROOT,
-        }
-    }
-
-    fn insert(&mut self, prefix: Prefix, value: V) {
-        let mut node = Self::root(prefix.af()) as usize;
-        for i in 0..prefix.len() {
-            let b = prefix.addr().bit(i) as usize;
-            let next = self.nodes[node].child[b];
-            node = if next == NONE {
-                self.nodes.push(FlatNode::EMPTY);
-                let idx = (self.nodes.len() - 1) as u32;
-                self.nodes[node].child[b] = idx;
-                idx as usize
-            } else {
-                next as usize
-            };
-        }
-        // Last insert wins, like `LpmTrie::insert` replacing the value.
-        if self.nodes[node].value == NONE {
-            self.nodes[node].value = self.entries.len() as u32;
-            self.entries.push((prefix, value));
-        } else {
-            self.entries[self.nodes[node].value as usize] = (prefix, value);
-        }
-    }
-
-    /// Resolve the top [`STRIDE_BITS`] bits of `chunk` (right-aligned) from
-    /// the family root: the node reached at full stride depth and the best
-    /// value index on the path, including that node's own value.
-    fn resolve_stride(&self, af: Af, chunk: u32) -> StrideSlot {
-        let mut node = Self::root(af) as usize;
-        let mut best = self.nodes[node].value;
-        for i in 0..STRIDE_BITS {
-            let b = ((chunk >> (STRIDE_BITS - 1 - i)) & 1) as usize;
-            let next = self.nodes[node].child[b];
-            if next == NONE {
-                return StrideSlot { node: NONE, best };
-            }
-            node = next as usize;
-            if self.nodes[node].value != NONE {
-                best = self.nodes[node].value;
-            }
-        }
-        StrideSlot {
-            node: node as u32,
-            best,
-        }
-    }
-
-    fn family_len(&self, af: Af) -> usize {
-        self.entries.iter().filter(|(p, _)| p.af() == af).count()
-    }
-
-    fn build_strides(&mut self) {
-        for af in [Af::V4, Af::V6] {
-            if self.family_len(af) < STRIDE_MIN_ENTRIES {
-                continue;
-            }
-            let table: Vec<StrideSlot> = (0u32..1 << STRIDE_BITS)
-                .map(|chunk| self.resolve_stride(af, chunk))
-                .collect();
-            match af {
-                Af::V4 => self.v4_stride = table,
-                Af::V6 => self.v6_stride = table,
-            }
-        }
     }
 
     /// Build from a [`LpmTrie`], cloning the values.
@@ -179,50 +154,53 @@ impl<V> FlatLpm<V> {
     /// address for the same entry set.
     #[inline]
     pub fn lookup(&self, addr: Addr) -> Option<(Prefix, &V)> {
-        let width = addr.af().width();
-        let stride = match addr.af() {
-            Af::V4 => &self.v4_stride,
-            Af::V6 => &self.v6_stride,
-        };
-        let (mut node, mut best, start) = if stride.is_empty() {
-            let root = Self::root(addr.af());
-            (root, self.nodes[root as usize].value, 0)
-        } else {
-            // The stride table already resolved the top bits in one load.
-            let chunk = (addr.bits() >> (width - STRIDE_BITS)) as usize;
-            let slot = stride[chunk];
-            (slot.node, slot.best, STRIDE_BITS)
-        };
-        if node != NONE {
-            for i in start..width {
-                let b = addr.bit(i) as usize;
-                let next = self.nodes[node as usize].child[b];
-                if next == NONE {
-                    break;
-                }
-                node = next;
-                let v = self.nodes[node as usize].value;
-                if v != NONE {
-                    best = v;
-                }
+        let bits = addr.bits();
+        let mut shift = addr.af().width();
+        let mut table = root(addr.af());
+        loop {
+            // The last byte of an address never points on: no prefix is
+            // longer than the address.
+            shift -= 8;
+            let slot = self.tables[table * SLOTS + ((bits >> shift) as usize & (SLOTS - 1))];
+            if slot & TABLE == 0 {
+                // MISS lies past every entry index, so it reads as `None`.
+                let (prefix, value) = self.entries.get(slot as usize)?;
+                return Some((*prefix, value));
             }
+            table = (slot & !TABLE) as usize;
         }
-        if best == NONE {
-            return None;
-        }
-        let (prefix, value) = &self.entries[best as usize];
-        Some((*prefix, value))
     }
 }
 
 impl<V> FromIterator<(Prefix, V)> for FlatLpm<V> {
+    /// Insert into a scratch binary trie (last insert of a prefix wins,
+    /// like `LpmTrie::insert` replacing the value), then fill the tables
+    /// from it and drop it.
     fn from_iter<I: IntoIterator<Item = (Prefix, V)>>(iter: I) -> Self {
-        let mut flat = FlatLpm::new();
-        for (p, v) in iter {
-            flat.insert(p, v);
+        let mut entries = Vec::new();
+        let mut nodes = vec![Node::EMPTY; 2];
+        for (prefix, value) in iter {
+            let mut node = root(prefix.af());
+            for i in 0..prefix.len() {
+                let b = prefix.addr().bit(i) as usize;
+                if nodes[node].child[b] == NONE {
+                    nodes[node].child[b] = index(nodes.len(), "build nodes");
+                    nodes.push(Node::EMPTY);
+                }
+                node = nodes[node].child[b] as usize;
+            }
+            if nodes[node].value == MISS {
+                nodes[node].value = index(entries.len(), "prefixes");
+                entries.push((prefix, value));
+            } else {
+                entries[nodes[node].value as usize] = (prefix, value);
+            }
         }
-        flat.build_strides();
-        flat
+        let mut tables = vec![MISS; 2 * SLOTS];
+        for r in [V4_ROOT, V6_ROOT] {
+            fill(&nodes, &mut tables, r * SLOTS, SLOTS, r as u32, MISS);
+        }
+        FlatLpm { tables, entries }
     }
 }
 
@@ -301,29 +279,54 @@ mod tests {
     }
 
     #[test]
-    fn stride_table_agrees_with_plain_walk() {
-        // Enough v4 entries to trigger the stride build, with prefixes both
-        // shorter and longer than STRIDE_BITS, then compare against LpmTrie
-        // over addresses chosen to hit every interesting region.
-        let mut trie = LpmTrie::new();
-        let mut entries = Vec::new();
-        for i in 0..3_000u32 {
-            let len = 8 + (i % 21) as u8; // /8 ..= /28
-            let addr = Addr::v4(i.wrapping_mul(0x9E37_79B9));
-            let prefix = Prefix::of(addr.masked(len), len);
-            trie.insert(prefix, i);
-            entries.push((prefix, i));
-        }
-        let flat: FlatLpm<u32> = entries.into_iter().collect();
-        assert!(
-            !flat.v4_stride.is_empty(),
-            "3000 entries must build the stride table"
+    fn table_boundaries_and_pushed_answers_match_trie() {
+        // One nested chain per family with a length on each side of every
+        // 8-bit table boundary, a short prefix whose answer must fill the
+        // empty slots of two tables below it, and a duplicate (last wins).
+        let mut entries: Vec<(Prefix, u32)> = [0u8, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32]
+            .iter()
+            .map(|&len| (Prefix::of(a("10.128.128.129"), len), u32::from(len)))
+            .collect();
+        entries.extend([0u8, 47, 48, 49, 127, 128].iter().map(|&len| {
+            (
+                Prefix::of(a("2001:db8:8000::8001"), len),
+                1000 + u32::from(len),
+            )
+        }));
+        entries.push((p("20.16.0.0/12"), 12));
+        entries.push((p("20.17.5.0/24"), 24));
+        entries.push((p("20.17.5.0/24"), 2424));
+        let trie: LpmTrie<u32> = entries.iter().copied().collect();
+        let flat: FlatLpm<u32> = entries.iter().copied().collect();
+        assert_eq!(flat.len(), trie.len());
+
+        // The /12's answer fills the 255 other slots of 20.17.x and the
+        // other slots of 20.16–31.x; outside it nothing but /0 answers.
+        assert_eq!(
+            flat.lookup(a("20.17.5.9")).unwrap(),
+            (p("20.17.5.0/24"), &2424)
         );
-        for i in 0..20_000u32 {
-            let addr = Addr::v4(i.wrapping_mul(0x6C07_8965).wrapping_add(i));
+        assert_eq!(
+            flat.lookup(a("20.17.6.1")).unwrap(),
+            (p("20.16.0.0/12"), &12)
+        );
+        assert_eq!(
+            flat.lookup(a("20.31.255.255")).unwrap(),
+            (p("20.16.0.0/12"), &12)
+        );
+        assert_eq!(flat.lookup(a("20.32.0.0")).unwrap(), (p("0.0.0.0/0"), &0));
+
+        // Every stored boundary and its neighbours just outside.
+        let mut probes = Vec::new();
+        for (prefix, _) in &entries {
+            let (lo, hi) = (prefix.first_addr(), prefix.last_addr());
+            probes.extend([lo, hi]);
+            probes.push(Addr::new(lo.af(), lo.bits().wrapping_sub(1)));
+            probes.push(Addr::new(hi.af(), hi.bits().wrapping_add(1)));
+        }
+        for addr in probes {
             let want = trie.lookup(addr).map(|(p, v)| (p, *v));
-            let got = flat.lookup(addr).map(|(p, v)| (p, *v));
-            assert_eq!(got, want, "divergence at {addr}");
+            assert_eq!(flat.lookup(addr).map(|(p, v)| (p, *v)), want, "at {addr}");
         }
     }
 

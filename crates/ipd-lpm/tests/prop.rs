@@ -41,6 +41,57 @@ fn arb_prefix_v6() -> impl Strategy<Value = Prefix> {
     })
 }
 
+/// An address whose bytes below a fixed base each take one of four values
+/// (0x00, 0x01, 0x80, 0xff, two bits of `pick` per byte), so prefixes built
+/// on it share their leading bytes often and nest across table boundaries.
+fn sparse_addr(af: Af, base: u128, base_len: u8, pick: u128) -> Addr {
+    const BYTES: [u128; 4] = [0x00, 0x01, 0x80, 0xff];
+    let width = af.width();
+    let mut bits = base;
+    for byte in 0..(width - base_len) / 8 {
+        bits |= BYTES[(pick >> (2 * byte) & 3) as usize] << (8 * byte);
+    }
+    Addr::new(af, bits)
+}
+
+const V4_BASES: [u128; 3] = [0x0a01_0000, 0xc633_0000, 0x1600_0000];
+const V6_BASES: [u128; 3] = [0x2001_0db8 << 96, 0x2a00_1450 << 96, 0x2001_0db9 << 96];
+
+/// Addresses under three IPv4 /16s and three IPv6 /32s, sparse below them.
+fn arb_nested_addr() -> impl Strategy<Value = Addr> {
+    prop_oneof![
+        (0usize..3, any::<u128>()).prop_map(|(b, pick)| sparse_addr(Af::V4, V4_BASES[b], 16, pick)),
+        (0usize..3, any::<u128>()).prop_map(|(b, pick)| sparse_addr(Af::V6, V6_BASES[b], 32, pick)),
+    ]
+}
+
+/// Prefixes on [`arb_nested_addr`], lengths 8..=32 (IPv4) and 24..=128
+/// (IPv6): chains of up to 4 and 16 tables, with the answers of the shorter
+/// prefixes pushed down into the deeper tables.
+fn arb_nested_prefix() -> impl Strategy<Value = Prefix> {
+    (arb_nested_addr(), any::<u8>()).prop_map(|(addr, l)| {
+        let len = match addr.af() {
+            Af::V4 => 8 + l % 25,
+            Af::V6 => 24 + l % 105,
+        };
+        Prefix::of(addr, len)
+    })
+}
+
+/// Assert `flat` answers like `trie` at every address of `addrs`.
+fn assert_flat_agrees(
+    trie: &LpmTrie<u32>,
+    flat: &ipd_lpm::FlatLpm<u32>,
+    addrs: impl IntoIterator<Item = Addr>,
+) -> Result<(), TestCaseError> {
+    for addr in addrs {
+        let want = trie.lookup(addr).map(|(p, v)| (p, *v));
+        let got = flat.lookup(addr).map(|(p, v)| (p, *v));
+        prop_assert_eq!(got, want, "divergence at {}", addr);
+    }
+    Ok(())
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Prefix, u32),
@@ -125,22 +176,43 @@ proptest! {
             0..200,
         ),
         probes in proptest::collection::vec(any::<u32>(), 1..100),
+        v6_probes in proptest::collection::vec(any::<u128>(), 1..100),
     ) {
         let trie: LpmTrie<u32> = entries.iter().map(|(p, v)| (*p, *v)).collect();
         let flat: ipd_lpm::FlatLpm<u32> = entries.iter().map(|(p, v)| (*p, *v)).collect();
         prop_assert_eq!(flat.len(), trie.len());
-        // Probe random addresses plus every stored boundary (first/last
-        // address of each prefix), both families.
+        // Probe random addresses of both families (IPv6 under the /16 the
+        // IPv6 prefixes live in) plus every stored boundary (first/last
+        // address of each prefix).
         let mut addrs: Vec<Addr> = probes.iter().map(|&b| Addr::v4(b)).collect();
+        addrs.extend(v6_probes.iter().map(|&b| Addr::v6((0x2001u128 << 112) | (b >> 16))));
         for p in entries.keys() {
             addrs.push(p.first_addr());
             addrs.push(p.last_addr());
         }
-        for addr in addrs {
-            let want = trie.lookup(addr).map(|(p, v)| (p, *v));
-            let got = flat.lookup(addr).map(|(p, v)| (p, *v));
-            prop_assert_eq!(got, want, "divergence at {}", addr);
+        assert_flat_agrees(&trie, &flat, addrs)?;
+    }
+
+    /// The same agreement on prefixes nested across 8-bit table boundaries,
+    /// probed at every stored boundary, just outside it, and at random
+    /// addresses of the same sparse shape.
+    #[test]
+    fn flat_lpm_matches_trie_nested(
+        entries in proptest::collection::vec((arb_nested_prefix(), any::<u32>()), 0..200),
+        probes in proptest::collection::vec(arb_nested_addr(), 1..100),
+    ) {
+        // A vector, not a map: a repeated prefix keeps its last value in both.
+        let trie: LpmTrie<u32> = entries.iter().copied().collect();
+        let flat: ipd_lpm::FlatLpm<u32> = entries.iter().copied().collect();
+        prop_assert_eq!(flat.len(), trie.len());
+        let mut addrs = probes;
+        for (p, _) in &entries {
+            let (lo, hi) = (p.first_addr(), p.last_addr());
+            addrs.extend([lo, hi]);
+            addrs.push(Addr::new(lo.af(), lo.bits().wrapping_sub(1)));
+            addrs.push(Addr::new(hi.af(), hi.bits().wrapping_add(1)));
         }
+        assert_flat_agrees(&trie, &flat, addrs)?;
     }
 
     /// The concurrent tree-bitmap store agrees with [`LpmTrie`] under any
@@ -198,6 +270,5 @@ proptest! {
             prop_assert_eq!(r.last_addr(), p.last_addr());
             prop_assert_eq!(l.last_addr().bits() + 1, r.first_addr().bits());
         }
-        let _ = Af::V4; // silence unused import when children is None for all cases
     }
 }

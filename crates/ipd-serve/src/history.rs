@@ -7,6 +7,8 @@
 //! just answers every `QueryAt` with "epoch unknown" and every `DiffRange`
 //! with an empty diff.
 
+use std::sync::Arc;
+
 use ipd::PrefixChange;
 
 use crate::live::LiveStore;
@@ -15,8 +17,9 @@ use crate::live::LiveStore;
 /// time-travel ops (`QueryAt`, `DiffRange`).
 pub trait HistoryProvider: Send + Sync {
     /// The full ingress map at `epoch`, with [`LiveStore::epoch`] equal to
-    /// `epoch`, or `None` if the store does not hold that epoch.
-    fn at_epoch(&self, epoch: u64) -> Option<LiveStore>;
+    /// `epoch`, or `None` if the store does not hold that epoch. Shared, so
+    /// a provider can hand the same map to repeated queries.
+    fn at_epoch(&self, epoch: u64) -> Option<Arc<LiveStore>>;
 
     /// Per-prefix changes between two held epochs, sorted by prefix.
     /// `None` if either epoch is not held.

@@ -466,7 +466,7 @@ mod tests {
     }
 
     impl HistoryProvider for FixedHistory {
-        fn at_epoch(&self, epoch: u64) -> Option<LiveStore> {
+        fn at_epoch(&self, epoch: u64) -> Option<Arc<LiveStore>> {
             let rows: &[ServedRow] = match epoch {
                 7 => &self.rows,
                 8 => &[],
@@ -474,7 +474,7 @@ mod tests {
             };
             let store = LiveStore::with_base_epoch(epoch - 1);
             store.publish_full(rows, 61);
-            Some(store)
+            Some(Arc::new(store))
         }
 
         fn diff(&self, from: u64, to: u64) -> Option<Vec<ipd::PrefixChange>> {

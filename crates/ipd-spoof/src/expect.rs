@@ -3,13 +3,14 @@
 //! prefix's routing moved inside the evidence window.
 //!
 //! Resolution is honest: the detector does not peek at the flow's label or
-//! rank. It resolves the claimed source address through its own LPM table
-//! over the generated RIB (the same [`FlatLpm`] shape the serving layer
-//! uses), then derives candidates and churn evidence from the closed-form
-//! substrate oracles — all `O(1)` per flow after the one-time table build.
+//! rank. It resolves the claimed source address through its own
+//! leaf-pushed [`FlatLpm`] over the generated RIB, whose value carries the
+//! prefix's rank and its origin AS rank, then derives candidates and churn
+//! evidence from the closed-form substrate oracles — one table walk and
+//! `O(1)` work per flow after the one-time table build.
 
-use ipd_bgp::dfz::{current_link, AsLinks, ChurnModel, PrefixPlan};
-use ipd_lpm::{Addr, Af, FlatLpm, LpmTrie};
+use ipd_bgp::dfz::{current_link_among, AsLinks, ChurnModel};
+use ipd_lpm::{Addr, Af, FlatLpm};
 use ipd_topology::{IngressPoint, LinkId, ScaleTopology};
 use ipd_traffic::DfzWorld;
 
@@ -29,12 +30,12 @@ pub struct Expectation<'a> {
 /// The detector's route-expectation oracle over a DFZ world.
 #[derive(Debug, Clone)]
 pub struct RouteExpect {
-    plan: PrefixPlan,
     churn: ChurnModel,
     as_links: AsLinks,
     topology: ScaleTopology,
-    /// `prefix → (af, rank)` reverse table over the whole plan.
-    lpm: FlatLpm<u64>,
+    /// `prefix → (rank, origin AS rank)` reverse table over the whole plan;
+    /// the family is the matched prefix's.
+    lpm: FlatLpm<(u64, u32)>,
     window_secs: u64,
 }
 
@@ -42,18 +43,19 @@ impl RouteExpect {
     /// Build the oracle: one pass over the plan to construct the reverse
     /// LPM table (`O(prefixes)`), everything else borrowed closed-form.
     pub fn new(world: &DfzWorld, window_secs: u64) -> Self {
-        let mut trie = LpmTrie::new();
-        for af in [Af::V4, Af::V6] {
-            for rank in 0..world.plan.len(af) {
-                trie.insert(world.plan.prefix(af, rank), rank);
-            }
-        }
+        let plan = &world.plan;
+        let lpm = [Af::V4, Af::V6]
+            .into_iter()
+            .flat_map(|af| {
+                (0..plan.len(af))
+                    .map(move |rank| (plan.prefix(af, rank), (rank, plan.as_rank_of(af, rank))))
+            })
+            .collect();
         RouteExpect {
-            plan: world.plan.clone(),
             churn: world.churn,
             as_links: world.as_links.clone(),
             topology: world.topology.clone(),
-            lpm: FlatLpm::from_trie(&trie),
+            lpm,
             window_secs,
         }
     }
@@ -72,17 +74,12 @@ impl RouteExpect {
     /// `None` means the address is covered by no announced prefix — a
     /// bogon source.
     pub fn expectation(&self, src: Addr, t: u64) -> Option<Expectation<'_>> {
-        let (prefix, &rank) = self.lpm.lookup(src)?;
+        let (prefix, &(rank, as_rank)) = self.lpm.lookup(src)?;
         let af = prefix.af();
-        let candidates = self.as_links.links_of(self.plan.as_rank_of(af, rank));
-        let current = self.topology.ingress_of_link(current_link(
-            &self.plan,
-            &self.churn,
-            &self.as_links,
-            af,
-            rank,
-            t,
-        ));
+        let candidates = self.as_links.links_of(as_rank);
+        let current =
+            self.topology
+                .ingress_of_link(current_link_among(&self.churn, candidates, af, rank, t));
         Some(Expectation {
             af,
             rank,
@@ -143,6 +140,52 @@ mod tests {
             assert!(e.candidates.contains(&f.link));
             assert_eq!(e.current, w.topology.ingress_of_link(f.link));
         }
+    }
+
+    /// Every plan prefix, at both ends, resolves to the candidates and
+    /// current ingress the closed-form oracles give for its rank: at the
+    /// epoch, and at a flapper's flap instant, one second before it and one
+    /// second after it (flaps count over `[epoch, t)`, so the move shows
+    /// there). This pins the AS rank stored in the table and the one
+    /// home-slot rule.
+    #[test]
+    fn every_plan_prefix_matches_the_closed_form_oracle() {
+        let w = world();
+        let exp = RouteExpect::new(&w, 300);
+        let t0 = w.config().epoch;
+        let mut flaps = 0;
+        for af in [Af::V4, Af::V6] {
+            for rank in 0..w.plan.len(af) {
+                let mut instants = vec![t0];
+                if w.churn.is_flapper(af, rank) {
+                    if let Some(flap) = w.churn.flap_times_in(af, rank, t0, t0 + 7_200).next() {
+                        instants.extend([flap - 1, flap, flap + 1]);
+                        flaps += 1;
+                    }
+                }
+                let prefix = w.plan.prefix(af, rank);
+                for src in [prefix.first_addr(), prefix.last_addr()] {
+                    for &t in &instants {
+                        let e = exp.expectation(src, t).expect("plan prefix resolves");
+                        assert_eq!(e.af, af);
+                        assert!(w.plan.prefix(af, e.rank).contains(src));
+                        assert_eq!(
+                            e.candidates,
+                            w.as_links.links_of(w.plan.as_rank_of(af, e.rank)),
+                            "candidates of {af} rank {}",
+                            e.rank
+                        );
+                        assert_eq!(
+                            e.current,
+                            w.topology.ingress_of_link(w.current_link(af, e.rank, t)),
+                            "current ingress of {af} rank {} at {t}",
+                            e.rank
+                        );
+                    }
+                }
+            }
+        }
+        assert!(flaps > 0, "no flappers with events in 2h");
     }
 
     #[test]
